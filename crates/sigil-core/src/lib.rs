@@ -58,6 +58,7 @@
 pub mod config;
 pub mod events_bin;
 pub mod events_out;
+pub mod kernel;
 pub mod phase;
 pub mod profile;
 pub mod profiler;
@@ -76,6 +77,6 @@ pub use phase::{PhaseBucket, PhaseBuilder, PhasePair, PhaseProfile};
 pub use profile::{ContextComm, FunctionComm, Profile};
 pub use profiler::{LineReport, SigilProfiler};
 pub use reuse::{ContextReuse, LifetimeHistogram, ReuseBucket};
-pub use shard::{merge_fragments, ShardFragment};
+pub use shard::{merge_fragments, panic_message, ShardFragment};
 pub use stats::{CommEdge, CommStats};
 pub use sweep::{clamp_jobs, clamp_jobs_to, SweepEntry};

@@ -4,19 +4,18 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 use sigil_callgrind::{CallgrindProfiler, ContextId};
-use sigil_mem::{LineShadow, MemoryStats, Owner, ShadowObject, ShadowTable};
+use sigil_mem::{LineShadow, MemoryStats, ShadowTable};
 use sigil_trace::{
-    CallNumber, ExecutionObserver, FunctionId, MemAccess, OpClock, RuntimeEvent, SymbolTable,
-    Timestamp,
+    CallNumber, ExecutionObserver, MemAccess, OpClock, RuntimeEvent, SymbolTable, Timestamp,
 };
 
 use crate::config::SigilConfig;
 use crate::events_out::EventFile;
-use crate::phase::{PhaseBuilder, PhaseProfile};
+use crate::kernel::{comm_entry, Accessor, Kernel, Transfers};
+use crate::phase::PhaseBuilder;
 use crate::profile::{ContextComm, Profile};
-use crate::reuse::ContextReuse;
 use crate::shard::{sequence_events, ShardEngine, ShardFragment};
-use crate::stats::{CommEdge, CommStats};
+use crate::stats::CommStats;
 
 #[derive(Debug, Clone, Copy)]
 struct Frame {
@@ -24,12 +23,6 @@ struct Frame {
     call: CallNumber,
     /// Retired ops since this frame's last flushed compute fragment.
     pending_ops: u64,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct EdgeAccum {
-    pub(crate) unique: u64,
-    pub(crate) nonunique: u64,
 }
 
 /// Aggregated line-granularity reuse report (drives Figure 12).
@@ -60,15 +53,16 @@ impl LineReport {
     }
 }
 
-/// The pieces `into_profile` assembles, from either finish path.
-type ProfileParts = (
-    MemoryStats,
-    Vec<CommStats>,
-    Vec<CommEdge>,
-    Option<Vec<ContextReuse>>,
-    Option<EventFile>,
-    Option<PhaseProfile>,
-);
+/// Where per-byte classification runs.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one per profiler, built once
+enum Replay {
+    /// On the profiling thread, through one [`Kernel`].
+    InThread(Kernel),
+    /// On `config.shards` worker threads, one [`Kernel`] each (see
+    /// [`crate::shard`]).
+    Sharded(ShardEngine),
+}
 
 /// The Sigil profiler: an [`ExecutionObserver`] that shadows every data
 /// byte to classify communication (see the crate docs for the
@@ -77,61 +71,68 @@ type ProfileParts = (
 /// Internally it embeds a [`CallgrindProfiler`] — Sigil "hooks into
 /// Callgrind to identify function names, obtain addresses and count
 /// operations" — and layers the shadow-memory pass on top.
+///
+/// The profiler itself is the front end of replay: it keeps the
+/// globally ordered state (frames, call numbers, the phase clock, call
+/// tallies, line shadowing, whole-access byte counts) and hands each
+/// access's per-byte work to the Table-I kernel (see
+/// [`crate::kernel`]), either in-thread or through shard dispatch.
 #[derive(Debug)]
 pub struct SigilProfiler {
     config: SigilConfig,
     cg: CallgrindProfiler,
-    shadow: ShadowTable<ShadowObject>,
     lines: Option<LineShadow>,
     clock: OpClock,
     call_counter: CallNumber,
     /// Per-thread frame stacks; key is the raw thread id.
     thread_frames: HashMap<u32, Vec<Frame>>,
     current_thread: u32,
+    /// Whole-access `bytes_read` / `bytes_written` per context; the
+    /// per-byte classes are tallied by the kernel.
     comm: Vec<CommStats>,
-    edges: HashMap<(ContextId, ContextId), EdgeAccum>,
-    reuse: Option<Vec<ContextReuse>>,
+    /// The incrementally built event file (in-thread replay only:
+    /// sharded event files are sequenced from the dispatch log at the
+    /// end of the run).
     events: Option<EventFile>,
-    /// Phase-sliced profile builder (present when phase collection is
-    /// on). In sharded mode this dispatch-side builder tallies calls;
-    /// transfers come back in the workers' fragments.
+    /// Call tallies of the phase-sliced profile (present when phase
+    /// collection is on); the kernel buckets the transfers.
     phases: Option<PhaseBuilder>,
     /// The phase clock: cumulative event-stream-visible retired ops
     /// (see [`crate::phase`] for the exact tick rules).
     phase_clock: u64,
-    /// Present when `config.shards > 1`: per-byte classification runs on
-    /// worker threads and `shadow` stays empty (see [`crate::shard`]).
-    engine: Option<ShardEngine>,
+    replay: Replay,
+    /// Scratch for the current read's cross-call transfers (in-thread
+    /// replay with events on).
+    transfers: Transfers,
 }
 
 impl SigilProfiler {
     /// Creates a profiler with the given configuration.
     pub fn new(config: SigilConfig) -> Self {
-        let sharded = config.shards > 1;
+        let replay = if config.shards > 1 {
+            Replay::Sharded(ShardEngine::new(&config))
+        } else {
+            let table = match config.shadow_chunk_limit {
+                Some(limit) => ShadowTable::with_chunk_limit(limit, config.eviction),
+                None => ShadowTable::new(),
+            };
+            Replay::InThread(Kernel::new(table, &config))
+        };
         SigilProfiler {
             config,
             cg: CallgrindProfiler::new(config.callgrind),
-            // In sharded mode the per-byte state lives in the worker
-            // tables and the dispatch-side residency oracle; this table
-            // stays empty.
-            shadow: match config.shadow_chunk_limit {
-                Some(limit) if !sharded => ShadowTable::with_chunk_limit(limit, config.eviction),
-                _ => ShadowTable::new(),
-            },
             lines: config.line_size.map(LineShadow::new),
             clock: OpClock::new(),
             call_counter: CallNumber::ROOT,
             thread_frames: HashMap::from([(0, Vec::with_capacity(64))]),
             current_thread: 0,
             comm: Vec::new(),
-            edges: HashMap::new(),
-            reuse: config.reuse_mode.then(Vec::new),
-            // Sharded event files are sequenced from the dispatch log at
-            // the end of the run instead of being built incrementally.
-            events: (config.record_events && !sharded).then(EventFile::new),
+            events: (config.record_events && matches!(replay, Replay::InThread(_)))
+                .then(EventFile::new),
             phases: config.phase_bucket_ops.map(PhaseBuilder::new),
             phase_clock: 0,
-            engine: sharded.then(|| ShardEngine::new(&config)),
+            replay,
+            transfers: Transfers::new(),
         }
     }
 
@@ -150,9 +151,9 @@ impl SigilProfiler {
     /// from the workers' per-batch snapshots (it may lag in-flight
     /// batches; the finished profile's stats are exact).
     pub fn memory_stats(&self) -> MemoryStats {
-        let byte_stats = match &self.engine {
-            Some(engine) => engine.memory_stats(),
-            None => self.shadow.stats(),
+        let byte_stats = match &self.replay {
+            Replay::InThread(kernel) => kernel.table.stats(),
+            Replay::Sharded(engine) => engine.memory_stats(),
         };
         match &self.lines {
             Some(lines) => byte_stats.combined(lines.memory_stats()),
@@ -165,10 +166,14 @@ impl SigilProfiler {
     /// phase collection is off or the profiler is sharded (sharded
     /// replay assembles phases only at finish).
     pub fn phase_snapshot(&self) -> Option<crate::phase::PhaseProfile> {
-        if self.engine.is_some() {
+        let Replay::InThread(kernel) = &self.replay else {
             return None;
+        };
+        let mut phases = self.phases.clone()?;
+        if let Some(transfers) = kernel.transfer_phases() {
+            phases.absorb(&transfers);
         }
-        self.phases.as_ref().map(|b| b.clone().finish())
+        Some(phases.finish())
     }
 
     fn frames(&self) -> Option<&Vec<Frame>> {
@@ -187,51 +192,6 @@ impl SigilProfiler {
                 call: CallNumber::ROOT,
                 pending_ops: 0,
             })
-    }
-
-    fn comm_mut(&mut self, ctx: ContextId) -> &mut CommStats {
-        Self::comm_entry(&mut self.comm, ctx)
-    }
-
-    /// Field-level variant of [`comm_mut`](Self::comm_mut) usable while
-    /// `self.shadow` is mutably borrowed by a run iterator.
-    pub(crate) fn comm_entry(comm: &mut Vec<CommStats>, ctx: ContextId) -> &mut CommStats {
-        let idx = ctx.index();
-        if idx >= comm.len() {
-            comm.resize(idx + 1, CommStats::default());
-        }
-        &mut comm[idx]
-    }
-
-    /// Flushes one producer segment — a maximal stretch of consecutive
-    /// bytes sharing a last-writer context — into the producer's output
-    /// tallies and the producer→consumer edge map.
-    pub(crate) fn flush_producer(
-        comm: &mut Vec<CommStats>,
-        edges: &mut HashMap<(ContextId, ContextId), EdgeAccum>,
-        producer_ctx: ContextId,
-        consumer_ctx: ContextId,
-        seg: EdgeAccum,
-    ) {
-        let producer_stats = Self::comm_entry(comm, producer_ctx);
-        producer_stats.output_unique_bytes += seg.unique;
-        producer_stats.output_nonunique_bytes += seg.nonunique;
-        let edge = edges.entry((producer_ctx, consumer_ctx)).or_default();
-        edge.unique += seg.unique;
-        edge.nonunique += seg.nonunique;
-    }
-
-    pub(crate) fn reuse_flush(
-        reuse_vec: &mut Vec<ContextReuse>,
-        reader: Owner,
-        info: sigil_mem::ReuseInfo,
-    ) {
-        let idx = reader.ctx as usize;
-        while reuse_vec.len() <= idx {
-            let next = ContextId(u32::try_from(reuse_vec.len()).expect("context count fits u32"));
-            reuse_vec.push(ContextReuse::new(next));
-        }
-        reuse_vec[idx].record(info.reuse_count, info.lifetime());
     }
 
     fn flush_pending(&mut self) {
@@ -257,6 +217,10 @@ impl SigilProfiler {
         self.flush_pending();
         if let Some(events) = self.events.as_mut() {
             events.push_call(parent.call, call, ctx);
+        }
+        if let Replay::Sharded(engine) = &mut self.replay {
+            engine.sync_ctxs(self.cg.tree());
+            engine.log_call(call, ctx);
         }
         if let Some(builder) = self.phases.as_mut() {
             // The call is tallied at the pre-tick clock.
@@ -284,423 +248,91 @@ impl SigilProfiler {
         self.phase_clock += count;
     }
 
+    /// Explicit ops and branches: logged for the sharded event
+    /// sequencer (which drops them on an empty stack itself), then
+    /// retired.
+    fn retire_ops(&mut self, count: u64) {
+        if let Replay::Sharded(engine) = &mut self.replay {
+            engine.log_ops(count);
+        }
+        self.retire_pending(count);
+    }
+
     fn handle_leave(&mut self) {
         self.flush_pending();
+        if let Replay::Sharded(engine) = &mut self.replay {
+            engine.log_return();
+        }
         self.frames_mut().pop();
     }
 
-    fn handle_read(&mut self, access: MemAccess, at: Timestamp) {
+    /// One shadow access. The whole-access tallies (`bytes_read` /
+    /// `bytes_written`, line shadowing, the access's own retired op)
+    /// happen here; the per-byte classification runs in-thread or is
+    /// dispatched to the shard workers.
+    fn handle_access(&mut self, write: bool, access: MemAccess, at: Timestamp) {
         if access.is_empty() {
             return;
         }
-        // Loop invariants, hoisted: the consuming frame, its shadow owner
-        // tag, and the reader's function identity are fixed for the whole
-        // access.
         let frame = self.current_frame();
-        let thread = self.current_thread;
-        let owner = Owner::new(frame.ctx.0, frame.call, thread);
-        let reader_fn = self.cg.tree().node(frame.ctx).func;
         if let Some(lines) = self.lines.as_mut() {
             lines.record_access(access, at);
         }
+        let stats = comm_entry(&mut self.comm, frame.ctx);
+        if write {
+            stats.bytes_written += u64::from(access.size);
+        } else {
+            stats.bytes_read += u64::from(access.size);
+        }
         self.retire_pending(1);
-
-        // Consumer tallies accumulate locally and flush once per access;
-        // producer tallies flush once per segment of consecutive bytes
-        // sharing a last-writer context (overwhelmingly the whole access).
-        let mut local_unique = 0u64;
-        let mut local_nonunique = 0u64;
-        let mut input_unique = 0u64;
-        let mut input_nonunique = 0u64;
-        let mut inter_unique = 0u64;
-        let mut inter_nonunique = 0u64;
-        let mut producer_seg: Option<(ContextId, EdgeAccum)> = None;
-        // Producer-function resolution memoized on the producer context:
-        // consecutive bytes overwhelmingly share one last writer.
-        let mut producer_fn_memo: Option<(ContextId, Option<FunctionId>)> = None;
-        // Transfer segments (producer call, bytes), contiguous in byte
-        // order so `push_transfer` coalescing reproduces the per-byte
-        // event stream exactly.
-        let mut transfers: Vec<(CallNumber, u64)> = Vec::new();
-        let events_on = self.events.is_some();
-        // Phase-profile transfer segments (producer context, bytes) —
-        // kept apart from `transfers`: phases stay on when event
-        // recording is off, and bucket by producer *context*.
-        let mut phase_transfers: Vec<(ContextId, u64)> = Vec::new();
-        let phases_on = self.phases.is_some();
-
-        // `runs` holds a mutable borrow of `self.shadow`; the loop body
-        // may only touch the disjoint fields `self.cg` / `self.reuse` /
-        // `self.comm` / `self.edges` — anything needing `&mut self`
-        // (event emission, pending-op flush) is deferred past the loop.
         let tree = self.cg.tree();
-        let mut runs = self.shadow.runs_mut(access.addr, access.len());
-        while let Some((_, slots)) = runs.next_run() {
-            for obj in slots {
-                let repeat = obj.is_repeat_read(owner);
-                let producer = obj.last_writer;
-
-                // Reuse accounting: a change of reader flushes the previous
-                // reader's record (lifetimes are per function call).
-                if let Some(reuse_vec) = self.reuse.as_mut() {
-                    if !repeat {
-                        if let Some(prev_reader) = obj.last_reader {
-                            let info = obj.reuse;
-                            Self::reuse_flush(reuse_vec, prev_reader, info);
-                            obj.reuse.reset();
-                        }
-                    }
-                    obj.reuse.record_read(at, !repeat);
-                }
-                obj.record_read(owner);
-
-                // Classification.
-                let (producer_ctx, producer_call) = match producer {
-                    Some(p) => (ContextId(p.ctx), p.call),
-                    // Never-written bytes are program input, attributed to
-                    // the synthetic root producer.
-                    None => (ContextId::ROOT, CallNumber::ROOT),
-                };
-                let producer_fn = match producer_fn_memo {
-                    Some((memo_ctx, func)) if memo_ctx == producer_ctx => func,
-                    _ => {
-                        let func = tree.node(producer_ctx).func;
-                        producer_fn_memo = Some((producer_ctx, func));
-                        func
-                    }
-                };
-                // A last writer on another guest thread makes the byte
-                // inter-thread input — disjoint from (and checked before)
-                // the local class, so a thread re-reading data a sibling
-                // wrote into "its own" function is still charged with the
-                // cross-thread transfer.
-                let is_inter = producer.is_some_and(|p| p.thread != thread);
-                let is_local = !is_inter && producer.is_some() && producer_fn == reader_fn;
-
-                match (is_inter, is_local, repeat) {
-                    (true, _, false) => inter_unique += 1,
-                    (true, _, true) => inter_nonunique += 1,
-                    (false, true, false) => local_unique += 1,
-                    (false, true, true) => local_nonunique += 1,
-                    (false, false, false) => input_unique += 1,
-                    (false, false, true) => input_nonunique += 1,
-                }
-                if !is_local {
-                    match &mut producer_seg {
-                        Some((seg_ctx, seg)) if *seg_ctx == producer_ctx => {
-                            if repeat {
-                                seg.nonunique += 1;
-                            } else {
-                                seg.unique += 1;
-                            }
-                        }
-                        seg_slot => {
-                            if let Some((prev_ctx, prev_seg)) = seg_slot.take() {
-                                Self::flush_producer(
-                                    &mut self.comm,
-                                    &mut self.edges,
-                                    prev_ctx,
-                                    frame.ctx,
-                                    prev_seg,
-                                );
-                            }
-                            let mut seg = EdgeAccum::default();
-                            if repeat {
-                                seg.nonunique += 1;
-                            } else {
-                                seg.unique += 1;
-                            }
-                            *seg_slot = Some((producer_ctx, seg));
-                        }
-                    }
-                }
-                // Event-file dependencies: any unique read of data produced
-                // by a *different dynamic call* orders the consumer after
-                // the producer — including a later call of the same
-                // function (classified *local* for the byte accounting
-                // above, but still a real dependency between the two call
-                // nodes of the Figure 3 construction).
-                if !repeat && producer.is_some() && producer_call != frame.call {
-                    if events_on {
-                        match transfers.last_mut() {
-                            Some((last_call, bytes)) if *last_call == producer_call => *bytes += 1,
-                            _ => transfers.push((producer_call, 1)),
-                        }
-                    }
-                    if phases_on {
-                        match phase_transfers.last_mut() {
-                            Some((last_ctx, bytes)) if *last_ctx == producer_ctx => *bytes += 1,
-                            _ => phase_transfers.push((producer_ctx, 1)),
-                        }
-                    }
-                }
-            }
-        }
-
-        if let Some((prev_ctx, prev_seg)) = producer_seg {
-            Self::flush_producer(
-                &mut self.comm,
-                &mut self.edges,
-                prev_ctx,
-                frame.ctx,
-                prev_seg,
-            );
-        }
-        let consumer_stats = Self::comm_entry(&mut self.comm, frame.ctx);
-        consumer_stats.bytes_read += u64::from(access.size);
-        consumer_stats.local_unique_bytes += local_unique;
-        consumer_stats.local_nonunique_bytes += local_nonunique;
-        consumer_stats.input_unique_bytes += input_unique;
-        consumer_stats.input_nonunique_bytes += input_nonunique;
-        consumer_stats.inter_thread_unique_bytes += inter_unique;
-        consumer_stats.inter_thread_nonunique_bytes += inter_nonunique;
-        if !transfers.is_empty() {
-            // Flush the consumer's pending ops first so they precede the
-            // transfers; subsequent per-byte flushes would push zero-op
-            // fragments, which `push_compute` drops, so one flush here is
-            // byte-identical to the old per-byte emission.
-            self.flush_pending();
-            if let Some(events) = self.events.as_mut() {
-                for (producer_call, bytes) in transfers {
-                    events.push_transfer(producer_call, frame.call, bytes);
-                }
-            }
-        }
-        if !phase_transfers.is_empty() {
-            // Bucketed at the post-tick clock: the event file flushes the
-            // read's own pending op before its transfer records, so the
-            // streaming fold sees these exact timestamps.
-            let builder = self.phases.as_mut().expect("phases on");
-            for (producer_ctx, bytes) in phase_transfers {
-                builder.record_transfer(producer_ctx, frame.ctx, self.phase_clock, bytes);
-            }
-        }
-    }
-
-    fn handle_write(&mut self, access: MemAccess, at: Timestamp) {
-        if access.is_empty() {
-            return;
-        }
-        let frame = self.current_frame();
-        let owner = Owner::new(frame.ctx.0, frame.call, self.current_thread);
-        if let Some(lines) = self.lines.as_mut() {
-            lines.record_access(access, at);
-        }
-        self.retire_pending(1);
-        self.comm_mut(frame.ctx).bytes_written += u64::from(access.size);
-        let mut runs = self.shadow.runs_mut(access.addr, access.len());
-        while let Some((_, slots)) = runs.next_run() {
-            for obj in slots {
-                if let Some(reuse_vec) = self.reuse.as_mut() {
-                    if let Some(prev_reader) = obj.last_reader {
-                        let info = obj.reuse;
-                        Self::reuse_flush(reuse_vec, prev_reader, info);
-                    }
-                }
-                obj.record_write(owner);
-            }
-        }
-    }
-
-    /// Sharded-mode event handling: globally-ordered state (contexts,
-    /// call numbers, the sequencing log) advances here on the dispatch
-    /// thread; per-byte work is routed to the shard workers.
-    fn on_event_sharded(&mut self, event: RuntimeEvent, at: Timestamp) {
-        match event {
-            RuntimeEvent::Call { .. } | RuntimeEvent::SyscallEnter { .. } => {
-                let ctx = self.cg.current_context();
-                self.call_counter = self.call_counter.next();
-                let call = self.call_counter;
-                let parent = self.current_frame();
-                if let Some(builder) = self.phases.as_mut() {
-                    // Same pre-tick tally as the serial path.
-                    builder.record_call(parent.ctx, ctx, self.phase_clock);
-                }
-                self.phase_clock += 1;
-                let engine = self.engine.as_mut().expect("sharded mode");
-                engine.sync_ctxs(self.cg.tree());
-                engine.log_call(call, ctx);
-                self.frames_mut().push(Frame {
-                    ctx,
-                    call,
-                    pending_ops: 0,
-                });
-            }
-            RuntimeEvent::Return | RuntimeEvent::SyscallExit => {
-                self.engine.as_mut().expect("sharded mode").log_return();
-                self.frames_mut().pop();
-            }
-            RuntimeEvent::Op { count, .. } => {
-                // The sequencer drops ops logged with no open frame, so
-                // the phase clock must drop them identically.
-                if self.frames().is_some_and(|f| !f.is_empty()) {
-                    self.phase_clock += u64::from(count);
-                }
-                let engine = self.engine.as_mut().expect("sharded mode");
-                engine.log_ops(u64::from(count));
-            }
-            RuntimeEvent::Branch { .. } => {
-                if self.frames().is_some_and(|f| !f.is_empty()) {
-                    self.phase_clock += 1;
-                }
-                self.engine.as_mut().expect("sharded mode").log_ops(1);
-            }
-            RuntimeEvent::Read { access } => self.dispatch_sharded(false, access, at),
-            RuntimeEvent::Write { access } => self.dispatch_sharded(true, access, at),
-            RuntimeEvent::ThreadSwitch { thread } => {
-                let engine = self.engine.as_mut().expect("sharded mode");
-                engine.log_switch(thread.as_raw());
-                self.current_thread = thread.as_raw();
-            }
-        }
-    }
-
-    /// Sharded-mode shadow access: whole-access tallies (`bytes_read` /
-    /// `bytes_written`, line shadowing) happen once here; the per-byte
-    /// classification is fanned out per chunk run.
-    fn dispatch_sharded(&mut self, write: bool, access: MemAccess, at: Timestamp) {
-        if access.is_empty() {
-            return;
-        }
-        let frame = self.current_frame();
-        if let Some(lines) = self.lines.as_mut() {
-            lines.record_access(access, at);
-        }
-        let reader_fn = if write {
-            None
-        } else {
-            self.cg.tree().node(frame.ctx).func
-        };
-        if write {
-            self.comm_mut(frame.ctx).bytes_written += u64::from(access.size);
-        } else {
-            self.comm_mut(frame.ctx).bytes_read += u64::from(access.size);
-        }
-        // The access's own retired op ticks the phase clock exactly when
-        // the serial path's pending-op bump fires: with an open frame.
-        // (`log_ops` below is unconditional, but the sequencer drops ops
-        // on empty stacks — the clock must not count those.)
-        if self.frames().is_some_and(|f| !f.is_empty()) {
-            self.phase_clock += 1;
-        }
-        let engine = self.engine.as_mut().expect("sharded mode");
-        engine.sync_ctxs(self.cg.tree());
-        if write {
-            // The write itself retires one op (the read's op is logged by
-            // the sequencer's `Read` entry).
-            engine.log_ops(1);
-        }
-        engine.dispatch_access(
-            write,
-            access.addr,
-            access.len(),
-            frame.ctx,
-            frame.call,
-            self.current_thread,
-            reader_fn,
+        let who = Accessor {
+            ctx: frame.ctx,
+            call: frame.call,
+            thread: self.current_thread,
+            reader_fn: if write {
+                None
+            } else {
+                tree.node(frame.ctx).func
+            },
             at,
-            self.phase_clock,
-        );
-    }
-
-    /// Sharded-mode end of run: join the workers, fold their fragments
-    /// through the commutative merge layer, and sequence the event file
-    /// back into access order.
-    fn finish_sharded(&mut self, engine: ShardEngine) -> ProfileParts {
-        let shards = engine.shard_count();
-        // Join first: with the oracle elided, the exact residency lives
-        // in the workers' tables and is only authoritative post-join.
-        let crate::shard::ShardFinish {
-            memory,
-            dispatch,
-            results,
-            seq,
-        } = engine.finish();
-        let mut memory = memory;
-        if let Some(lines) = &self.lines {
-            memory = memory.combined(lines.memory_stats());
-        }
-        memory.export_metrics("shadow");
-
-        // The dispatch thread's fragment: whole-access byte counts plus
-        // the serial-equivalent footprint; classification comes from the
-        // workers.
-        let mut merged = ShardFragment {
-            comm: std::mem::take(&mut self.comm),
-            edges: Vec::new(),
-            reuse: self.reuse.take(),
-            memory: MemoryStats::default(),
-            // The dispatch side tallied the calls; worker fragments fold
-            // their transfer buckets in through the monoid below.
-            phases: self.phases.take().map(PhaseBuilder::finish),
+            phase_at: self.phase_clock,
         };
-        let mut transfers = crate::shard::TransferMap::new();
-        let obs = sigil_obs::is_enabled();
-        if obs {
-            sigil_obs::metrics::set_counter("shadow.shards", shards as u64);
-        }
-        let (mut busy_total, mut idle_total) = (0u64, 0u64);
-        for (i, result) in results.into_iter().enumerate() {
-            if obs {
-                sigil_obs::metrics::set_counter(
-                    &format!("shadow.shard.{i}.accesses"),
-                    result.stats.accesses,
-                );
-                sigil_obs::metrics::set_counter(
-                    &format!("shadow.shard.{i}.runs"),
-                    result.stats.runs,
-                );
-                sigil_obs::metrics::set_counter(
-                    &format!("shadow.shard.{i}.evictions"),
-                    result.evictions_applied,
-                );
-                sigil_obs::metrics::set_counter(
-                    &format!("shadow.shard.{i}.busy_ns"),
-                    result.busy_ns,
-                );
-                sigil_obs::metrics::set_counter(
-                    &format!("shadow.shard.{i}.idle_ns"),
-                    result.idle_ns,
-                );
-                busy_total += result.busy_ns;
-                idle_total += result.idle_ns;
+        match &mut self.replay {
+            Replay::Sharded(engine) => {
+                engine.sync_ctxs(tree);
+                engine.dispatch_access(write, access.addr, access.len(), who);
             }
-            let (fragment, shard_transfers) = result.into_fragment();
-            merged.merge(&fragment);
-            for (idx, parts) in shard_transfers {
-                transfers.entry(idx).or_default().extend(parts);
+            Replay::InThread(kernel) => {
+                self.transfers.clear();
+                let func_of = |ctx| tree.node(ctx).func;
+                kernel.apply(
+                    write,
+                    access.addr,
+                    access.len(),
+                    &who,
+                    func_of,
+                    &mut self.transfers,
+                );
+                if !self.transfers.is_empty() {
+                    // Flush the consumer's pending ops first so they
+                    // precede the transfers; later flushes would push
+                    // zero-op fragments, which `push_compute` drops.
+                    self.flush_pending();
+                    let events = self.events.as_mut().expect("transfers imply events");
+                    for &(producer_call, bytes) in &self.transfers {
+                        events.push_transfer(producer_call, frame.call, bytes);
+                    }
+                }
             }
         }
-        if obs {
-            // Add-counters so sweeps accumulate utilization across
-            // workloads; the sweep report derives busy/(busy+idle).
-            sigil_obs::metrics::counter("shadow.shards.busy_ns").add(busy_total);
-            sigil_obs::metrics::counter("shadow.shards.idle_ns").add(idle_total);
-            // Dispatch-thread telemetry: where the Amdahl ceiling is.
-            sigil_obs::metrics::add_counter("dispatch.busy_ns", dispatch.busy_ns);
-            sigil_obs::metrics::add_counter("dispatch.resolve_ns", dispatch.resolve_ns);
-            sigil_obs::metrics::add_counter("dispatch.records", dispatch.records);
-            sigil_obs::metrics::add_counter("dispatch.accesses", dispatch.accesses);
-            sigil_obs::metrics::set_gauge(
-                "dispatch.records_per_access",
-                dispatch.records as f64 / dispatch.accesses.max(1) as f64,
-            );
-        }
-        let events = self
-            .config
-            .record_events
-            .then(|| sequence_events(seq, &mut transfers));
-        (
-            memory,
-            merged.comm,
-            merged.edges,
-            merged.reuse,
-            events,
-            merged.phases,
-        )
     }
 
     /// Consumes the profiler, pairing it with `symbols` into a [`Profile`].
+    ///
+    /// The front end's fragment (whole-access byte counts, call phase
+    /// tallies) merges with the kernel's — the in-thread one, or the
+    /// shard workers' — through the commutative [`ShardFragment`] layer.
     ///
     /// When observability is enabled this records two phase spans —
     /// `shadow` (final shadow-memory walk: footprint snapshot, reuse
@@ -709,41 +341,33 @@ impl SigilProfiler {
     /// shadow-table hot-path counters as `shadow.*` metrics.
     pub fn into_profile(mut self, symbols: SymbolTable) -> Profile {
         let shadow_span = sigil_obs::span("shadow");
-        let (memory, comm, edge_rows, reuse, events, phases) = match self.engine.take() {
-            Some(engine) => self.finish_sharded(engine),
-            None => {
-                let memory = self.memory_stats();
-                memory.export_metrics("shadow");
-                // Flush outstanding reuse records (bytes still "live" at
-                // exit).
-                if let Some(reuse_vec) = self.reuse.as_mut() {
-                    for (_, obj) in self.shadow.iter() {
-                        if let Some(reader) = obj.last_reader {
-                            Self::reuse_flush(reuse_vec, reader, obj.reuse);
-                        }
-                    }
+        let mut merged = ShardFragment {
+            comm: std::mem::take(&mut self.comm),
+            phases: self.phases.take().map(PhaseBuilder::finish),
+            ..ShardFragment::default()
+        };
+        let (mut memory, events) = match self.replay {
+            Replay::InThread(kernel) => {
+                let fragment = kernel.finish();
+                merged.merge(&fragment);
+                (fragment.memory, self.events.take())
+            }
+            Replay::Sharded(engine) => {
+                let mut finish = engine.finish();
+                for fragment in &finish.fragments {
+                    merged.merge(fragment);
                 }
-                let mut edges: Vec<CommEdge> = self
-                    .edges
-                    .iter()
-                    .map(|(&(producer, consumer), accum)| CommEdge {
-                        producer,
-                        consumer,
-                        unique_bytes: accum.unique,
-                        nonunique_bytes: accum.nonunique,
-                    })
-                    .collect();
-                edges.sort_by_key(|e| (e.producer, e.consumer));
-                (
-                    memory,
-                    std::mem::take(&mut self.comm),
-                    edges,
-                    self.reuse.take(),
-                    self.events.take(),
-                    self.phases.take().map(PhaseBuilder::finish),
-                )
+                let events = self
+                    .config
+                    .record_events
+                    .then(|| sequence_events(finish.seq, &mut finish.transfers));
+                (finish.memory, events)
             }
         };
+        if let Some(lines) = &self.lines {
+            memory = memory.combined(lines.memory_stats());
+        }
+        memory.export_metrics("shadow");
 
         let line_report = self.lines.as_ref().map(|lines| {
             let mut buckets = [0u64; 5];
@@ -761,7 +385,8 @@ impl SigilProfiler {
         drop(shadow_span);
         let _postprocess_span = sigil_obs::span("postprocess");
 
-        let mut contexts: Vec<ContextComm> = comm
+        let mut contexts: Vec<ContextComm> = merged
+            .comm
             .iter()
             .enumerate()
             .map(|(i, comm)| ContextComm {
@@ -782,11 +407,11 @@ impl SigilProfiler {
         Profile {
             callgrind: self.cg.into_profile(symbols),
             contexts,
-            edges: edge_rows,
-            reuse,
+            edges: merged.edges,
+            reuse: merged.reuse,
             lines: line_report,
             events,
-            phases,
+            phases: merged.phases,
             memory,
         }
     }
@@ -796,21 +421,20 @@ impl ExecutionObserver for SigilProfiler {
     fn on_event(&mut self, event: RuntimeEvent) {
         let at = self.clock.tick(event);
         self.cg.on_event(event);
-        if self.engine.is_some() {
-            self.on_event_sharded(event, at);
-            return;
-        }
         match event {
             RuntimeEvent::Call { .. } | RuntimeEvent::SyscallEnter { .. } => self.handle_enter(),
             RuntimeEvent::Return | RuntimeEvent::SyscallExit => self.handle_leave(),
-            RuntimeEvent::Op { count, .. } => self.retire_pending(u64::from(count)),
-            RuntimeEvent::Branch { .. } => self.retire_pending(1),
-            RuntimeEvent::Read { access } => self.handle_read(access, at),
-            RuntimeEvent::Write { access } => self.handle_write(access, at),
+            RuntimeEvent::Op { count, .. } => self.retire_ops(u64::from(count)),
+            RuntimeEvent::Branch { .. } => self.retire_ops(1),
+            RuntimeEvent::Read { access } => self.handle_access(false, access, at),
+            RuntimeEvent::Write { access } => self.handle_access(true, access, at),
             RuntimeEvent::ThreadSwitch { thread } => {
                 // Close the outgoing thread's open fragment so its ops do
                 // not leak into the other thread's timeline.
                 self.flush_pending();
+                if let Replay::Sharded(engine) = &mut self.replay {
+                    engine.log_switch(thread.as_raw());
+                }
                 self.current_thread = thread.as_raw();
             }
         }
@@ -823,17 +447,11 @@ impl ExecutionObserver for SigilProfiler {
         threads.sort_unstable();
         for thread in threads {
             self.current_thread = thread;
-            if self.engine.is_some() {
-                let engine = self.engine.as_mut().expect("sharded mode");
+            if let Replay::Sharded(engine) = &mut self.replay {
                 engine.log_resume(thread);
-                while !self.frames_mut().is_empty() {
-                    self.engine.as_mut().expect("sharded mode").log_return();
-                    self.frames_mut().pop();
-                }
-            } else {
-                while !self.frames_mut().is_empty() {
-                    self.handle_leave();
-                }
+            }
+            while !self.frames_mut().is_empty() {
+                self.handle_leave();
             }
         }
         self.current_thread = 0;

@@ -9,13 +9,20 @@
 //! never interact — the replay is order-independent *across* shards as
 //! long as each shard sees *its* accesses in program order.
 //!
-//! Three pieces of state are **not** per-byte and stay on the dispatch
-//! thread:
+//! Each worker owns one `Kernel` (see [`crate::kernel`]) over the bytes
+//! of its chunks: the same shadow state, read/write kernels and finish
+//! that serial replay runs on the profiling thread. The
+//! [`crate::SigilProfiler`] front end keeps everything that is not
+//! per-byte in both modes (frames, call numbers, the phase clock and its
+//! call tallies, line shadowing, whole-access byte counts); its only
+//! fork is to classify in-thread or to call `dispatch_access` here.
+//! Three pieces of global state stay on the dispatch thread:
 //!
-//! * **Global order** — call numbers, timestamps, and the calltree cursor
-//!   advance once per event; the dispatcher resolves them and carries the
-//!   results (`ctx`, `call`, `reader_fn`, `at`) inside each
-//!   [`AccessRecord`], so workers never consult shared state.
+//! * **Global order** — the front end resolves each access's owner and
+//!   clocks into the kernel's `Accessor`, carried inside each
+//!   [`AccessRecord`], so workers never consult shared state; context →
+//!   function definitions are broadcast ahead of the records that need
+//!   them.
 //! * **Residency** — chunk eviction is a *global* decision (the limit
 //!   spans the whole table, FIFO/LRU order interleaves all chunks). With
 //!   a `shadow_chunk_limit` the dispatcher runs a zero-sized residency
@@ -27,8 +34,7 @@
 //!   **Without** a limit there are no evictions and residency is no
 //!   longer a global decision at all: the oracle is *elided*, each worker
 //!   owns the residency of its own chunks (disjoint sets whose union is
-//!   the serial footprint, folded through the commutative
-//!   [`ShardFragment`] merge), and the serial table's access counters are
+//!   the serial footprint), and the serial table's access counters are
 //!   reproduced arithmetically by [`RouteStats`] — dispatch degenerates
 //!   to address routing.
 //! * **Event order** — the event file is globally ordered. The dispatcher
@@ -42,18 +48,23 @@
 //! chunk runs (plus any eviction mirrors) in a scratch list, then staged
 //! into per-shard batches, where consecutive same-shard runs with no
 //! intervening eviction coalesce into one [`AccessRecord`] carrying a
-//! sub-access `count`/`sub_len` stride (workers reconstruct per-access
-//! metadata exactly — see [`can_coalesce`] for the legality argument).
-//! Every [`EPOCH_ACCESSES`] accesses all staged batches flush so workers
-//! drain epoch *k* while the dispatcher resolves epoch *k+1*. The cost of
-//! the dispatch thread is observable through the `dispatch.busy_ns` /
-//! `dispatch.resolve_ns` / `dispatch.records_per_access` metrics.
+//! sub-access `count`/`sub_len` stride (workers split the train back
+//! into one kernel call per sub-access — see [`can_coalesce`] for the
+//! legality argument). Every [`EPOCH_ACCESSES`] accesses all staged
+//! batches flush so workers drain epoch *k* while the dispatcher
+//! resolves epoch *k+1*. The cost of the dispatch thread is observable
+//! through the `dispatch.busy_ns` / `dispatch.resolve_ns` /
+//! `dispatch.records_per_access` metrics.
 //!
-//! Everything a worker *does* produce (communication tallies, edges,
-//! reuse aggregates) is a sum over disjoint byte sets, so per-shard
-//! fragments merge through the commutative [`ShardFragment::merge`]
-//! layer in any order with an identical result — a property pinned by
-//! the `shard_merge` proptests.
+//! Where a run is split — per chunk run in serial replay, per dispatched
+//! (sub-)access on a worker — does not change what the kernel tallies:
+//! every tally is a sum, and adjacent transfer segments of the same pair
+//! coalesce. Each kernel's `finish` renders its tallies as a
+//! [`ShardFragment`]; being sums over disjoint byte sets, fragments merge
+//! through the commutative [`ShardFragment::merge`] layer in any order
+//! with an identical result. The same layer folds the front end's
+//! fragment with the in-thread kernel's in serial replay — a property
+//! pinned by the `shard_merge` proptests.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -64,13 +75,13 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sigil_callgrind::{CallTree, ContextId};
-use sigil_mem::{chunk_key, chunk_run, MemoryStats, Owner, ShadowObject, ShadowTable, CHUNK_SLOTS};
-use sigil_trace::{Addr, CallNumber, FunctionId, Timestamp};
+use sigil_mem::{chunk_key, chunk_run, MemoryStats, ShadowObject, ShadowTable, CHUNK_SLOTS};
+use sigil_trace::{Addr, CallNumber, FunctionId};
 
 use crate::config::SigilConfig;
 use crate::events_out::EventFile;
-use crate::phase::{PhaseBuilder, PhaseProfile};
-use crate::profiler::{EdgeAccum, SigilProfiler};
+use crate::kernel::{Accessor, Kernel, Transfers};
+use crate::phase::PhaseProfile;
 use crate::reuse::ContextReuse;
 use crate::stats::{CommEdge, CommStats};
 
@@ -88,7 +99,7 @@ const EPOCH_ACCESSES: u64 = 2048;
 /// Transfer segments produced by one access, keyed by global access
 /// index: `(part, [(producer_call, bytes)])` per chunk run that found
 /// cross-call dependencies.
-pub(crate) type TransferMap = HashMap<u64, Vec<(u32, Vec<(CallNumber, u64)>)>>;
+pub(crate) type TransferMap = HashMap<u64, Vec<(u32, Transfers)>>;
 
 /// One shadow access run — or a coalesced train of them — pre-resolved
 /// on the dispatch thread.
@@ -100,10 +111,10 @@ pub(crate) type TransferMap = HashMap<u64, Vec<(u32, Vec<(CallNumber, u64)>)>>;
 /// A record with `count > 1` carries that many *consecutive whole
 /// accesses* coalesced into one message. For reads needing per-access
 /// metadata (`sub_len > 0`), sub-access `k` of the train covers
-/// `sub_len` bytes starting at `addr + k*sub_len` with index `idx + k`,
-/// timestamp `at.advance(k)`, and phase stamp `phase_at + k` — the
-/// coalescing predicate ([`can_coalesce`]) admits exactly the trains for
-/// which this reconstruction is lossless.
+/// `sub_len` bytes starting at `addr + k*sub_len` with index `idx + k`
+/// and accessor `who.advance(k)` — the coalescing predicate
+/// ([`can_coalesce`]) admits exactly the trains for which this
+/// reconstruction is lossless.
 #[derive(Debug, Clone, Copy)]
 struct AccessRecord {
     /// Global access index of the train's first access (one per
@@ -121,22 +132,8 @@ struct AccessRecord {
     /// record needs no sub-access reconstruction (writes, plain runs,
     /// straddle parts, free-mode reads).
     sub_len: u32,
-    /// The consuming/producing frame's context.
-    ctx: ContextId,
-    /// Its dynamic call number.
-    call: CallNumber,
-    /// Guest thread the access ran on (raw thread id) — part of the
-    /// owner identity, and the discriminant for inter-thread
-    /// classification.
-    thread: u32,
-    /// The reader's function identity (reads only).
-    reader_fn: Option<FunctionId>,
-    /// Op-clock timestamp of the (first) access.
-    at: Timestamp,
-    /// Phase-clock timestamp of the (first) access (post-tick —
-    /// includes the access's own retired op), for phase-profile
-    /// transfer bucketing.
-    phase_at: u64,
+    /// Owner and clocks of the (first) access.
+    who: Accessor,
 }
 
 enum ShardMsg {
@@ -186,7 +183,7 @@ enum ResolvedOp {
 /// Read-coalescing regime, fixed per engine by the feature set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReadCoalesce {
-    /// No per-access metadata is consumed by `apply_read` (reuse,
+    /// No per-access metadata is consumed by the read kernel (reuse,
     /// events, and phases all off): any contiguous same-owner reads
     /// merge, including straddle parts.
     Free,
@@ -241,24 +238,19 @@ pub(crate) struct DispatchStats {
 }
 
 /// What one worker hands back at join time.
-pub(crate) struct ShardResult {
-    pub(crate) comm: Vec<CommStats>,
-    pub(crate) edges: HashMap<(ContextId, ContextId), EdgeAccum>,
-    pub(crate) reuse: Option<Vec<ContextReuse>>,
-    pub(crate) transfers: TransferMap,
-    /// Phase-profile transfer buckets for this shard's bytes (phase
-    /// collection only).
-    pub(crate) phases: Option<PhaseBuilder>,
-    /// The worker table's own counters. With a dispatch oracle these
-    /// are observability-only; with the oracle elided the `resident_*`
+struct ShardResult {
+    /// The worker kernel's tallies. Its `memory` holds the worker
+    /// table's own counters: with a dispatch oracle these are
+    /// observability-only; with the oracle elided the `resident_*`
     /// fields are authoritative (the shards' disjoint chunk sets union
     /// to the serial footprint).
-    pub(crate) stats: MemoryStats,
-    pub(crate) evictions_applied: u64,
+    fragment: ShardFragment,
+    transfers: TransferMap,
+    evictions_applied: u64,
     /// Nanoseconds this worker spent applying batches (telemetry).
-    pub(crate) busy_ns: u64,
+    busy_ns: u64,
     /// Nanoseconds this worker spent blocked on its channel (telemetry).
-    pub(crate) idle_ns: u64,
+    idle_ns: u64,
 }
 
 /// Everything the engine hands back after joining its workers.
@@ -266,8 +258,11 @@ pub(crate) struct ShardFinish {
     /// The serial-equivalent shadow counters (oracle stats re-priced,
     /// or the elided composition — exact either way).
     pub(crate) memory: MemoryStats,
-    pub(crate) dispatch: DispatchStats,
-    pub(crate) results: Vec<ShardResult>,
+    /// One fragment per worker (their `memory` is per-table telemetry,
+    /// superseded by `memory` above).
+    pub(crate) fragments: Vec<ShardFragment>,
+    /// Every worker's transfer segments, keyed by access index.
+    pub(crate) transfers: TransferMap,
     pub(crate) seq: Vec<SeqOp>,
 }
 
@@ -354,32 +349,6 @@ pub fn merge_fragments(frags: impl IntoIterator<Item = ShardFragment>) -> ShardF
     merged
 }
 
-impl ShardResult {
-    pub(crate) fn into_fragment(self) -> (ShardFragment, TransferMap) {
-        let mut edges: Vec<CommEdge> = self
-            .edges
-            .into_iter()
-            .map(|((producer, consumer), accum)| CommEdge {
-                producer,
-                consumer,
-                unique_bytes: accum.unique,
-                nonunique_bytes: accum.nonunique,
-            })
-            .collect();
-        edges.sort_by_key(|e| (e.producer, e.consumer));
-        (
-            ShardFragment {
-                comm: self.comm,
-                edges,
-                reuse: self.reuse,
-                phases: self.phases.map(PhaseBuilder::finish),
-                memory: MemoryStats::default(),
-            },
-            self.transfers,
-        )
-    }
-}
-
 /// Decides whether `cand` can extend the coalesced train `prev` (the
 /// last staged record of `cand`'s shard, with the staging window still
 /// open — no flush, eviction, or context sync in between).
@@ -390,22 +359,20 @@ impl ShardResult {
 /// shards map adjacent chunks to different shards), so a merged record
 /// still never straddles a chunk.
 ///
-/// Writes always merge: `apply_write` touches per-byte state through
+/// Writes always merge: the write kernel touches per-byte state through
 /// the owner alone, so splitting a write train at any boundary is
 /// unobservable. Reads merge freely when no per-access metadata is
 /// consumed ([`ReadCoalesce::Free`]); otherwise only whole single-run
 /// accesses on an exact index/timestamp/phase stride merge
-/// ([`ReadCoalesce::Strided`]), which is precisely the shape
-/// `apply_read` can split back losslessly.
+/// ([`ReadCoalesce::Strided`]), which is precisely the shape the worker
+/// can split back losslessly.
 fn can_coalesce(mode: ReadCoalesce, prev: &AccessRecord, cand: &AccessRecord) -> bool {
     // The thread is part of the owner identity: root frames across
     // guest threads share `(ctx, call)`, so merging across a thread
     // boundary would conflate distinct owners.
     if prev.write != cand.write
-        || prev.ctx != cand.ctx
-        || prev.call != cand.call
-        || prev.thread != cand.thread
-        || prev.reader_fn != cand.reader_fn
+        || prev.who.owner() != cand.who.owner()
+        || prev.who.reader_fn != cand.who.reader_fn
         || prev.addr.wrapping_add(u64::from(prev.len)) != cand.addr
     {
         return false;
@@ -420,13 +387,14 @@ fn can_coalesce(mode: ReadCoalesce, prev: &AccessRecord, cand: &AccessRecord) ->
                 && cand.sub_len == cand.len
                 && prev.sub_len == cand.sub_len
                 && cand.idx == prev.idx + u64::from(prev.count)
-                && cand.at == prev.at.advance(u64::from(prev.count))
-                && cand.phase_at == prev.phase_at + u64::from(prev.count)
+                && cand.who == prev.who.advance(u64::from(prev.count))
         }
     }
 }
 
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+/// Renders a thread's panic payload (a `&str` or `String` message) for
+/// an error report.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -441,9 +409,9 @@ pub(crate) struct ShardEngine {
     shards: usize,
     /// Zero-sized residency oracle: replays the exact serial run
     /// sequence, so its counters and its eviction log *are* the serial
-    /// table's. `None` when the shadow memory is unbounded (and the
-    /// legacy path isn't forced): no evictions can occur, so dispatch
-    /// elides the table and [`RouteStats`] reproduces its counters.
+    /// table's. `None` when the shadow memory is unbounded: no
+    /// evictions can occur, so dispatch elides the table and
+    /// [`RouteStats`] reproduces its counters.
     oracle: Option<ShadowTable<()>>,
     /// Counter mirror for the elided-oracle path.
     route: RouteStats,
@@ -466,7 +434,6 @@ pub(crate) struct ShardEngine {
     /// Per-access resolution scratch (evictions interleaved before the
     /// runs that triggered them, in serial order).
     scratch_ops: Vec<ResolvedOp>,
-    coalesce_on: bool,
     read_coalesce: ReadCoalesce,
     /// Accesses dispatched since the last epoch flush.
     epoch_accesses: u64,
@@ -499,15 +466,11 @@ impl std::fmt::Debug for ShardEngine {
 impl ShardEngine {
     pub(crate) fn new(config: &SigilConfig) -> Self {
         let shards = config.shards.max(2);
-        let oracle =
-            (config.shadow_chunk_limit.is_some() || config.force_dispatch_oracle).then(|| {
-                let mut oracle = match config.shadow_chunk_limit {
-                    Some(limit) => ShadowTable::with_chunk_limit(limit, config.eviction),
-                    None => ShadowTable::new(),
-                };
-                oracle.enable_eviction_log();
-                oracle
-            });
+        let oracle = config.shadow_chunk_limit.map(|limit| {
+            let mut oracle = ShadowTable::with_chunk_limit(limit, config.eviction);
+            oracle.enable_eviction_log();
+            oracle
+        });
         let read_coalesce =
             if config.reuse_mode || config.record_events || config.phase_bucket_ops.is_some() {
                 ReadCoalesce::Strided
@@ -518,8 +481,6 @@ impl ShardEngine {
         let mut handles = Vec::with_capacity(shards);
         let mut received_batches = Vec::with_capacity(shards);
         let mut resident_chunks = Vec::with_capacity(shards);
-        let (reuse_mode, events_on) = (config.reuse_mode, config.record_events);
-        let phase_bucket_ops = config.phase_bucket_ops;
         for shard in 0..shards {
             let (tx, rx) = sync_channel::<Vec<ShardMsg>>(CHANNEL_DEPTH);
             senders.push(tx);
@@ -529,9 +490,7 @@ impl ShardEngine {
             resident_chunks.push(Arc::clone(&resident));
             let spec = WorkerSpec {
                 shard,
-                reuse_mode,
-                events_on,
-                phase_bucket_ops,
+                config: *config,
                 batches_received: received,
                 resident_chunks: resident,
             };
@@ -553,10 +512,9 @@ impl ShardEngine {
             poisoned: None,
             synced_ctxs: 0,
             next_idx: 0,
-            events_on,
+            events_on: config.record_events,
             seq: Vec::new(),
             scratch_ops: Vec::new(),
-            coalesce_on: !config.no_dispatch_coalesce,
             read_coalesce,
             epoch_accesses: 0,
             dispatch: DispatchStats::default(),
@@ -566,11 +524,6 @@ impl ShardEngine {
             received_batches,
             depth_keys: (0..shards).map(|s| format!("shard.{s}.depth")).collect(),
         }
-    }
-
-    /// Number of worker shards.
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards
     }
 
     /// Whether dispatch runs without a residency oracle.
@@ -598,7 +551,7 @@ impl ShardEngine {
     /// Stages one resolved run, extending the shard's open coalescing
     /// train when legal.
     fn stage_access(&mut self, shard: usize, rec: AccessRecord) {
-        if self.coalesce_on && self.staging_open[shard] {
+        if self.staging_open[shard] {
             if let Some(ShardMsg::Access(prev)) = self.batches[shard].last_mut() {
                 if can_coalesce(self.read_coalesce, prev, &rec) {
                     prev.len += rec.len;
@@ -736,19 +689,7 @@ impl ShardEngine {
     /// coalescing where legal; every [`EPOCH_ACCESSES`] accesses all
     /// staged batches flush so workers drain while dispatch resolves
     /// ahead.
-    #[allow(clippy::too_many_arguments)] // the flattened AccessRecord fields
-    pub(crate) fn dispatch_access(
-        &mut self,
-        write: bool,
-        addr: Addr,
-        len: usize,
-        ctx: ContextId,
-        call: CallNumber,
-        thread: u32,
-        reader_fn: Option<FunctionId>,
-        at: Timestamp,
-        phase_at: u64,
-    ) {
+    pub(crate) fn dispatch_access(&mut self, write: bool, addr: Addr, len: usize, who: Accessor) {
         if let Some((shard, message)) = self.poisoned.take() {
             panic!("shard worker {shard} panicked: {message}");
         }
@@ -756,7 +697,11 @@ impl ShardEngine {
         self.next_idx += 1;
         self.dispatch.accesses += 1;
         self.epoch_accesses += 1;
-        if !write && self.events_on {
+        if write {
+            // The write retires one op; a read's op is implied by its
+            // sequencer `Read` entry.
+            self.log_ops(1);
+        } else if self.events_on {
             self.seq.push(SeqOp::Read { idx });
         }
         let timer = self.obs_on.then(Instant::now);
@@ -837,12 +782,7 @@ impl ShardEngine {
                             len,
                             count: 1,
                             sub_len: if whole_read { len } else { 0 },
-                            ctx,
-                            call,
-                            thread,
-                            reader_fn,
-                            at,
-                            phase_at,
+                            who,
                         },
                     );
                     part += 1;
@@ -906,7 +846,8 @@ impl ShardEngine {
     }
 
     /// Flushes outstanding batches, closes the channels, joins the
-    /// workers, and composes the final serial-equivalent memory stats.
+    /// workers, exports their telemetry, and composes the final
+    /// serial-equivalent memory stats.
     pub(crate) fn finish(mut self) -> ShardFinish {
         for shard in 0..self.shards {
             self.flush_batch(shard);
@@ -931,36 +872,77 @@ impl ShardEngine {
             })
             .collect();
         let memory = match &self.oracle {
-            Some(oracle) => {
-                let mut stats = oracle.stats();
-                stats.resident_bytes =
-                    stats.resident_slots * std::mem::size_of::<ShadowObject>() as u64;
-                stats
-            }
+            Some(_) => self.memory_stats(),
             None => {
                 // The shards own disjoint chunk sets whose union is the
                 // serial footprint; the workers' own tables (T =
                 // ShadowObject) price bytes exactly like serial replay.
-                let chunks: u64 = results.iter().map(|r| r.stats.resident_chunks).sum();
+                let chunks: u64 = results
+                    .iter()
+                    .map(|r| r.fragment.memory.resident_chunks)
+                    .sum();
                 self.elided_stats(chunks)
             }
         };
+        if sigil_obs::is_enabled() {
+            self.export_telemetry(&results);
+        }
+        let mut transfers = TransferMap::new();
+        let mut fragments = Vec::with_capacity(results.len());
+        for result in results {
+            for (idx, parts) in result.transfers {
+                transfers.entry(idx).or_default().extend(parts);
+            }
+            fragments.push(result.fragment);
+        }
         ShardFinish {
             memory,
-            dispatch: self.dispatch,
-            results,
+            fragments,
+            transfers,
             seq: std::mem::take(&mut self.seq),
         }
+    }
+
+    /// Per-shard and dispatch-thread counters: where the Amdahl ceiling
+    /// is.
+    fn export_telemetry(&self, results: &[ShardResult]) {
+        use sigil_obs::metrics;
+        metrics::set_counter("shadow.shards", self.shards as u64);
+        let (mut busy_total, mut idle_total) = (0u64, 0u64);
+        for (i, result) in results.iter().enumerate() {
+            let memory = &result.fragment.memory;
+            metrics::set_counter(&format!("shadow.shard.{i}.accesses"), memory.accesses);
+            metrics::set_counter(&format!("shadow.shard.{i}.runs"), memory.runs);
+            metrics::set_counter(
+                &format!("shadow.shard.{i}.evictions"),
+                result.evictions_applied,
+            );
+            metrics::set_counter(&format!("shadow.shard.{i}.busy_ns"), result.busy_ns);
+            metrics::set_counter(&format!("shadow.shard.{i}.idle_ns"), result.idle_ns);
+            busy_total += result.busy_ns;
+            idle_total += result.idle_ns;
+        }
+        // Add-counters so sweeps accumulate utilization across
+        // workloads; the sweep report derives busy/(busy+idle).
+        metrics::counter("shadow.shards.busy_ns").add(busy_total);
+        metrics::counter("shadow.shards.idle_ns").add(idle_total);
+        let dispatch = &self.dispatch;
+        metrics::add_counter("dispatch.busy_ns", dispatch.busy_ns);
+        metrics::add_counter("dispatch.resolve_ns", dispatch.resolve_ns);
+        metrics::add_counter("dispatch.records", dispatch.records);
+        metrics::add_counter("dispatch.accesses", dispatch.accesses);
+        metrics::set_gauge(
+            "dispatch.records_per_access",
+            dispatch.records as f64 / dispatch.accesses.max(1) as f64,
+        );
     }
 }
 
 /// Per-worker launch parameters.
 struct WorkerSpec {
     shard: usize,
-    reuse_mode: bool,
-    events_on: bool,
-    /// Phase-profile bucket width; `Some` turns on transfer bucketing.
-    phase_bucket_ops: Option<u64>,
+    /// The profiler's configuration (selects what the kernel tallies).
+    config: SigilConfig,
     /// Telemetry: batches this worker has drained, shared with the
     /// dispatcher's channel-depth sampling.
     batches_received: Arc<AtomicU64>,
@@ -969,33 +951,67 @@ struct WorkerSpec {
     resident_chunks: Arc<AtomicU64>,
 }
 
-/// Per-worker replay state.
-struct WorkerState {
-    table: ShadowTable<ShadowObject>,
-    comm: Vec<CommStats>,
-    edges: HashMap<(ContextId, ContextId), EdgeAccum>,
-    reuse: Option<Vec<ContextReuse>>,
+/// Per-worker replay state around its kernel.
+struct Worker {
+    kernel: Kernel,
     /// Context → function map, filled by `CtxDefs` broadcasts.
     ctx_funcs: Vec<Option<FunctionId>>,
     transfers: TransferMap,
-    phases: Option<PhaseBuilder>,
-    events_on: bool,
-    evictions_applied: u64,
+    /// Transfer scratch for the current kernel call.
+    scratch: Transfers,
+}
+
+impl Worker {
+    /// Applies one record: a write run, or a read train split back into
+    /// its sub-accesses with one kernel call each.
+    fn apply(&mut self, rec: AccessRecord) {
+        let Worker {
+            kernel,
+            ctx_funcs,
+            transfers,
+            scratch,
+        } = self;
+        let (slots, consumed) = kernel.table.run_mut(rec.addr, rec.len as usize);
+        debug_assert_eq!(consumed, rec.len as usize, "records never straddle chunks");
+        if rec.write {
+            // Every byte of a write train sees the same owner, so its
+            // sub-access boundaries are unobservable.
+            kernel.tally.write(slots, &rec.who);
+            return;
+        }
+        // Strided trains carry `count` whole accesses of `sub_len` bytes
+        // each; everything else (plain runs, straddle parts, free-mode
+        // trains) replays as one pass — free-mode records consume none of
+        // the per-access metadata reconstructed here.
+        let sub_len = if rec.count > 1 && rec.sub_len > 0 {
+            rec.sub_len
+        } else {
+            rec.len
+        };
+        let func_of = |ctx: ContextId| ctx_funcs[ctx.index()];
+        for (k, sub_slots) in (0u64..).zip(slots.chunks_mut(sub_len as usize)) {
+            kernel
+                .tally
+                .read(sub_slots, &rec.who.advance(k), func_of, scratch);
+            if !scratch.is_empty() {
+                transfers
+                    .entry(rec.idx + k)
+                    .or_default()
+                    .push((rec.part, std::mem::take(scratch)));
+            }
+        }
+    }
 }
 
 fn shard_worker(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
     let _span = sigil_obs::span_with(|| format!("shard-worker-{}", spec.shard));
-    let mut state = WorkerState {
-        table: ShadowTable::new(),
-        comm: Vec::new(),
-        edges: HashMap::new(),
-        reuse: spec.reuse_mode.then(Vec::new),
+    let mut worker = Worker {
+        kernel: Kernel::new(ShadowTable::new(), &spec.config),
         ctx_funcs: Vec::new(),
         transfers: TransferMap::new(),
-        phases: spec.phase_bucket_ops.map(PhaseBuilder::new),
-        events_on: spec.events_on,
-        evictions_applied: 0,
+        scratch: Transfers::new(),
     };
+    let mut evictions_applied = 0u64;
     let mut busy_ns = 0u64;
     let mut idle_ns = 0u64;
     loop {
@@ -1006,246 +1022,27 @@ fn shard_worker(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
         let work = Instant::now();
         for msg in batch {
             match msg {
-                ShardMsg::CtxDefs(defs) => state.ctx_funcs.extend(defs.iter().copied()),
+                ShardMsg::CtxDefs(defs) => worker.ctx_funcs.extend(defs.iter().copied()),
                 ShardMsg::Evict { key } => {
-                    let evicted = state.table.evict_key(key);
+                    let evicted = worker.kernel.table.evict_key(key);
                     debug_assert!(evicted, "mirrored victim must be resident");
-                    state.evictions_applied += u64::from(evicted);
+                    evictions_applied += u64::from(evicted);
                 }
-                ShardMsg::Access(rec) if rec.write => apply_write(&mut state, rec),
-                ShardMsg::Access(rec) => apply_read(&mut state, rec),
+                ShardMsg::Access(rec) => worker.apply(rec),
             }
         }
         spec.resident_chunks
-            .store(state.table.chunk_count() as u64, Ordering::Relaxed);
+            .store(worker.kernel.table.chunk_count() as u64, Ordering::Relaxed);
         busy_ns += u64::try_from(work.elapsed().as_nanos()).unwrap_or(u64::MAX);
     }
-    // Flush outstanding reuse records (bytes still "live" at exit) —
-    // the shard owns exactly its bytes, so the union over shards equals
-    // the serial table walk.
-    if let Some(reuse_vec) = state.reuse.as_mut() {
-        for (_, obj) in state.table.iter() {
-            if let Some(reader) = obj.last_reader {
-                SigilProfiler::reuse_flush(reuse_vec, reader, obj.reuse);
-            }
-        }
-    }
+    // The shard owns exactly its bytes, so the union over shards of the
+    // kernels' end-of-run reuse flushes equals the serial table walk.
     ShardResult {
-        stats: state.table.stats(),
-        comm: state.comm,
-        edges: state.edges,
-        reuse: state.reuse,
-        transfers: state.transfers,
-        phases: state.phases,
-        evictions_applied: state.evictions_applied,
+        fragment: worker.kernel.finish(),
+        transfers: worker.transfers,
+        evictions_applied,
         busy_ns,
         idle_ns,
-    }
-}
-
-/// One read record: splits a coalesced train back into its sub-accesses
-/// and replays each through the serial `handle_read` per-byte loop.
-fn apply_read(state: &mut WorkerState, rec: AccessRecord) {
-    let WorkerState {
-        table,
-        comm,
-        edges,
-        reuse,
-        ctx_funcs,
-        transfers,
-        phases,
-        events_on,
-        ..
-    } = state;
-    let (slots, consumed) = table.run_mut(rec.addr, rec.len as usize);
-    debug_assert_eq!(consumed, rec.len as usize, "records never straddle chunks");
-    // Strided trains carry `count` whole accesses of `sub_len` bytes
-    // each; everything else (plain runs, straddle parts, free-mode
-    // trains) replays as one pass — free-mode records consume none of
-    // the per-access metadata reconstructed here.
-    let sub_len = if rec.count > 1 && rec.sub_len > 0 {
-        rec.sub_len as usize
-    } else {
-        rec.len as usize
-    };
-    // The producer-function memo is a pure cache over `ctx_funcs`, so
-    // it can persist across sub-access boundaries.
-    let mut producer_fn_memo: Option<(ContextId, Option<FunctionId>)> = None;
-    for (k, sub_slots) in slots.chunks_mut(sub_len).enumerate() {
-        let k = k as u64;
-        let sub = AccessRecord {
-            idx: rec.idx + k,
-            at: rec.at.advance(k),
-            phase_at: rec.phase_at + k,
-            ..rec
-        };
-        read_sub_access(
-            sub_slots,
-            &sub,
-            comm,
-            edges,
-            reuse,
-            ctx_funcs,
-            transfers,
-            phases,
-            *events_on,
-            &mut producer_fn_memo,
-        );
-    }
-}
-
-/// One read sub-access: the serial `handle_read` per-byte loop, with
-/// producer functions resolved from the broadcast context map.
-#[allow(clippy::too_many_arguments)] // flattened WorkerState fields
-fn read_sub_access(
-    slots: &mut [ShadowObject],
-    rec: &AccessRecord,
-    comm: &mut Vec<CommStats>,
-    edges: &mut HashMap<(ContextId, ContextId), EdgeAccum>,
-    reuse: &mut Option<Vec<ContextReuse>>,
-    ctx_funcs: &[Option<FunctionId>],
-    all_transfers: &mut TransferMap,
-    phases: &mut Option<PhaseBuilder>,
-    events_on: bool,
-    producer_fn_memo: &mut Option<(ContextId, Option<FunctionId>)>,
-) {
-    let owner = Owner::new(rec.ctx.0, rec.call, rec.thread);
-    let mut local_unique = 0u64;
-    let mut local_nonunique = 0u64;
-    let mut input_unique = 0u64;
-    let mut input_nonunique = 0u64;
-    let mut inter_unique = 0u64;
-    let mut inter_nonunique = 0u64;
-    let mut producer_seg: Option<(ContextId, EdgeAccum)> = None;
-    let mut transfers: Vec<(CallNumber, u64)> = Vec::new();
-    // Phase-profile transfer segments, mirroring the serial path's
-    // producer-context accumulation (see `SigilProfiler::handle_read`).
-    let mut phase_transfers: Vec<(ContextId, u64)> = Vec::new();
-    let phases_on = phases.is_some();
-
-    for obj in slots {
-        let repeat = obj.is_repeat_read(owner);
-        let producer = obj.last_writer;
-
-        if let Some(reuse_vec) = reuse.as_mut() {
-            if !repeat {
-                if let Some(prev_reader) = obj.last_reader {
-                    let info = obj.reuse;
-                    SigilProfiler::reuse_flush(reuse_vec, prev_reader, info);
-                    obj.reuse.reset();
-                }
-            }
-            obj.reuse.record_read(rec.at, !repeat);
-        }
-        obj.record_read(owner);
-
-        let (producer_ctx, producer_call) = match producer {
-            Some(p) => (ContextId(p.ctx), p.call),
-            None => (ContextId::ROOT, CallNumber::ROOT),
-        };
-        let producer_fn = match *producer_fn_memo {
-            Some((memo_ctx, func)) if memo_ctx == producer_ctx => func,
-            _ => {
-                let func = ctx_funcs[producer_ctx.index()];
-                *producer_fn_memo = Some((producer_ctx, func));
-                func
-            }
-        };
-        // Same rule as the serial path: a last writer on another guest
-        // thread is inter-thread input, disjoint from (and checked
-        // before) the local class.
-        let is_inter = producer.is_some_and(|p| p.thread != rec.thread);
-        let is_local = !is_inter && producer.is_some() && producer_fn == rec.reader_fn;
-
-        match (is_inter, is_local, repeat) {
-            (true, _, false) => inter_unique += 1,
-            (true, _, true) => inter_nonunique += 1,
-            (false, true, false) => local_unique += 1,
-            (false, true, true) => local_nonunique += 1,
-            (false, false, false) => input_unique += 1,
-            (false, false, true) => input_nonunique += 1,
-        }
-        if !is_local {
-            match &mut producer_seg {
-                Some((seg_ctx, seg)) if *seg_ctx == producer_ctx => {
-                    if repeat {
-                        seg.nonunique += 1;
-                    } else {
-                        seg.unique += 1;
-                    }
-                }
-                seg_slot => {
-                    if let Some((prev_ctx, prev_seg)) = seg_slot.take() {
-                        SigilProfiler::flush_producer(comm, edges, prev_ctx, rec.ctx, prev_seg);
-                    }
-                    let mut seg = EdgeAccum::default();
-                    if repeat {
-                        seg.nonunique += 1;
-                    } else {
-                        seg.unique += 1;
-                    }
-                    *seg_slot = Some((producer_ctx, seg));
-                }
-            }
-        }
-        if !repeat && producer.is_some() && producer_call != rec.call {
-            if events_on {
-                match transfers.last_mut() {
-                    Some((last_call, bytes)) if *last_call == producer_call => *bytes += 1,
-                    _ => transfers.push((producer_call, 1)),
-                }
-            }
-            if phases_on {
-                match phase_transfers.last_mut() {
-                    Some((last_ctx, bytes)) if *last_ctx == producer_ctx => *bytes += 1,
-                    _ => phase_transfers.push((producer_ctx, 1)),
-                }
-            }
-        }
-    }
-
-    if let Some((prev_ctx, prev_seg)) = producer_seg {
-        SigilProfiler::flush_producer(comm, edges, prev_ctx, rec.ctx, prev_seg);
-    }
-    // `bytes_read` is tallied once per access on the dispatch thread;
-    // the worker only contributes the per-byte classification.
-    let consumer_stats = SigilProfiler::comm_entry(comm, rec.ctx);
-    consumer_stats.local_unique_bytes += local_unique;
-    consumer_stats.local_nonunique_bytes += local_nonunique;
-    consumer_stats.input_unique_bytes += input_unique;
-    consumer_stats.input_nonunique_bytes += input_nonunique;
-    consumer_stats.inter_thread_unique_bytes += inter_unique;
-    consumer_stats.inter_thread_nonunique_bytes += inter_nonunique;
-    if !transfers.is_empty() {
-        all_transfers
-            .entry(rec.idx)
-            .or_default()
-            .push((rec.part, transfers));
-    }
-    if !phase_transfers.is_empty() {
-        let builder = phases.as_mut().expect("phases on");
-        for (producer_ctx, bytes) in phase_transfers {
-            builder.record_transfer(producer_ctx, rec.ctx, rec.phase_at, bytes);
-        }
-    }
-}
-
-/// One write record: the serial `handle_write` per-byte loop
-/// (`bytes_written` is tallied on the dispatch thread). A coalesced
-/// write train replays as one run — every byte sees the same owner, so
-/// sub-access boundaries are unobservable.
-fn apply_write(state: &mut WorkerState, rec: AccessRecord) {
-    let owner = Owner::new(rec.ctx.0, rec.call, rec.thread);
-    let (slots, consumed) = state.table.run_mut(rec.addr, rec.len as usize);
-    debug_assert_eq!(consumed, rec.len as usize, "records never straddle chunks");
-    for obj in slots {
-        if let Some(reuse_vec) = state.reuse.as_mut() {
-            if let Some(prev_reader) = obj.last_reader {
-                let info = obj.reuse;
-                SigilProfiler::reuse_flush(reuse_vec, prev_reader, info);
-            }
-        }
-        obj.record_write(owner);
     }
 }
 
@@ -1318,11 +1115,12 @@ pub(crate) fn sequence_events(seq: Vec<SeqOp>, transfers: &mut TransferMap) -> E
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sigil_trace::Timestamp;
 
     fn frag(ctx_reads: &[(usize, u64)], edges: &[(u32, u32, u64)]) -> ShardFragment {
         let mut comm = Vec::new();
         for &(idx, bytes) in ctx_reads {
-            let stats = SigilProfiler::comm_entry(&mut comm, ContextId(idx as u32));
+            let stats = crate::kernel::comm_entry(&mut comm, ContextId(idx as u32));
             stats.input_unique_bytes += bytes;
         }
         let mut edge_rows: Vec<CommEdge> = edges
@@ -1436,16 +1234,18 @@ mod tests {
             len,
             count: 1,
             sub_len: if !write && whole_read { len } else { 0 },
-            ctx: ContextId(3),
-            call: CallNumber::from_raw(7),
-            thread: 0,
-            reader_fn: if write {
-                None
-            } else {
-                Some(FunctionId::from_raw(2))
+            who: Accessor {
+                ctx: ContextId(3),
+                call: CallNumber::from_raw(7),
+                thread: 0,
+                reader_fn: if write {
+                    None
+                } else {
+                    Some(FunctionId::from_raw(2))
+                },
+                at: Timestamp::from_raw(100 + idx),
+                phase_at: 200 + idx,
             },
-            at: Timestamp::from_raw(100 + idx),
-            phase_at: 200 + idx,
         }
     }
 
@@ -1459,13 +1259,13 @@ mod tests {
         let gap = rec(true, 1, 0x1018, 16, false);
         assert!(!can_coalesce(ReadCoalesce::Free, &prev, &gap), "gap");
         let mut other_call = next;
-        other_call.call = CallNumber::from_raw(8);
+        other_call.who.call = CallNumber::from_raw(8);
         assert!(
             !can_coalesce(ReadCoalesce::Free, &prev, &other_call),
             "owner changed"
         );
         let mut other_thread = next;
-        other_thread.thread = 1;
+        other_thread.who.thread = 1;
         assert!(
             !can_coalesce(ReadCoalesce::Free, &prev, &other_thread),
             "thread is part of the owner identity"
@@ -1510,13 +1310,13 @@ mod tests {
             "an intervening access broke the index stride"
         );
         let mut time_gap = good;
-        time_gap.at = Timestamp::from_raw(102);
+        time_gap.who.at = Timestamp::from_raw(102);
         assert!(
             !can_coalesce(ReadCoalesce::Strided, &prev, &time_gap),
             "op clock advanced between the accesses"
         );
         let mut phase_gap = good;
-        phase_gap.phase_at = 202;
+        phase_gap.who.phase_at = 202;
         assert!(
             !can_coalesce(ReadCoalesce::Strided, &prev, &phase_gap),
             "phase clock advanced between the accesses"
@@ -1582,8 +1382,6 @@ mod tests {
     fn engine_elides_the_oracle_exactly_when_unbounded() {
         let unbounded = SigilConfig::default().with_shards(2);
         assert!(ShardEngine::new(&unbounded).oracle_elided());
-        let forced = unbounded.with_forced_dispatch_oracle();
-        assert!(!ShardEngine::new(&forced).oracle_elided());
         let limited = SigilConfig::default().with_shards(2).with_shadow_limit(4);
         assert!(!ShardEngine::new(&limited).oracle_elided());
     }

@@ -6,8 +6,8 @@
 //! 1. **The merge algebra is order-free** — folding per-shard
 //!    [`ShardFragment`]s in *any* permutation yields the same result, so
 //!    the join order of shard workers can never leak into a profile.
-//! 2. **The twin profilers agree** — replaying one random event stream
-//!    through a serial and a sharded [`SigilProfiler`] produces
+//! 2. **Serial and sharded replay agree** — replaying one random event
+//!    stream through a serial and a sharded [`SigilProfiler`] produces
 //!    byte-identical profiles, under tiny FIFO/LRU shadow limits and
 //!    with accesses that straddle chunk (hence shard) boundaries.
 
@@ -20,7 +20,7 @@ use sigil_trace::{Engine, OpClass, ThreadId};
 
 // ---------------------------------------------------------------------
 // Fragment strategies. Generated fragments respect the two invariants
-// real `ShardResult::into_fragment` outputs hold: edges are unique and
+// real kernel `finish` outputs hold: edges are unique and
 // sorted by `(producer, consumer)`, and reuse row `i` belongs to
 // context id `i`.
 // ---------------------------------------------------------------------
@@ -178,7 +178,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Twin-profiler equivalence on random event streams.
+// Serial/sharded equivalence on random event streams.
 // ---------------------------------------------------------------------
 
 /// One step of a random trace. Addresses concentrate around 4 KiB chunk
@@ -285,15 +285,14 @@ proptest! {
     }
 
     /// Pipelined dispatch (run coalescing; oracle elided when
-    /// unbounded) is byte-identical to the pinned legacy path (one
-    /// record per run, forced dispatch oracle) and to serial replay —
-    /// under FIFO/LRU limits with mid-access evictions, and unbounded
-    /// where the elided path actually takes over. The generated
-    /// addresses straddle chunk boundaries, and every feature
-    /// consuming per-access metadata is on, so strided trains must
-    /// split back losslessly.
+    /// unbounded) is byte-identical to serial replay — under FIFO/LRU
+    /// limits with mid-access evictions, and unbounded where the
+    /// elided path actually takes over. The generated addresses
+    /// straddle chunk boundaries, and every feature consuming
+    /// per-access metadata is on, so strided trains must split back
+    /// losslessly.
     #[test]
-    fn pipelined_dispatch_matches_legacy_dispatch(
+    fn pipelined_dispatch_matches_serial(
         steps in proptest::collection::vec(arb_step(), 0..60),
         shards in 2usize..9,
         limit in arb_limit(),
@@ -311,14 +310,6 @@ proptest! {
         }
         let serial = replay(&steps, config);
         let pipelined = replay(&steps, config.with_shards(shards));
-        let legacy = replay(
-            &steps,
-            config
-                .with_shards(shards)
-                .with_forced_dispatch_oracle()
-                .without_dispatch_coalescing(),
-        );
-        prop_assert_eq!(&pipelined, &legacy);
         prop_assert_eq!(&pipelined, &serial);
     }
 
@@ -326,7 +317,7 @@ proptest! {
     /// (no reuse/events/phases metadata to reconstruct) — straddle
     /// parts and repeated reads may merge into long trains.
     #[test]
-    fn free_read_coalescing_matches_legacy_dispatch(
+    fn free_read_coalescing_matches_serial(
         steps in proptest::collection::vec(arb_step(), 0..60),
         shards in 2usize..9,
         limit in arb_limit(),
@@ -337,14 +328,6 @@ proptest! {
         }
         let serial = replay(&steps, config);
         let pipelined = replay(&steps, config.with_shards(shards));
-        let legacy = replay(
-            &steps,
-            config
-                .with_shards(shards)
-                .with_forced_dispatch_oracle()
-                .without_dispatch_coalescing(),
-        );
-        prop_assert_eq!(&pipelined, &legacy);
         prop_assert_eq!(&pipelined, &serial);
     }
 }

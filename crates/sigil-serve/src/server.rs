@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use sigil_analysis::streaming::{CriticalPathFold, EventCdfgFold, PhaseFold};
 use sigil_core::events_bin::decode_chunk_payload;
-use sigil_core::{EventRecord, SigilProfiler};
+use sigil_core::{panic_message, EventRecord, SigilProfiler};
 use sigil_obs::{metrics, obs_info, timeseries};
 use sigil_trace::{ExecutionObserver, SymbolTable};
 
@@ -508,9 +508,14 @@ fn run_session(
     // Dropping the sender lets the worker drain and exit even when the
     // reader bailed out early.
     drop(sender);
-    let worker_result = worker
-        .join()
-        .unwrap_or_else(|_| Err("worker panicked".to_owned()));
+    let worker_result = worker.join().unwrap_or_else(|payload| {
+        let message = format!(
+            "session worker panicked: {}",
+            panic_message(payload.as_ref())
+        );
+        send_error(&writer, offset, message.clone());
+        Err(message)
+    });
     match (read_result, worker_result) {
         (Ok(()), Ok(finished)) => {
             if finished {

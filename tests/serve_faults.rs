@@ -19,7 +19,7 @@ use sigil_serve::{
     encode_trace_records, Client, Frame, FrameKind, Listen, ServeConfig, Server, SessionSpec,
     TraceRecord, WireError,
 };
-use sigil_trace::{OpClass, RuntimeEvent};
+use sigil_trace::{MemAccess, OpClass, RuntimeEvent, SymbolTable};
 use sigil_vm::GenProgram;
 use sigil_workloads::{Benchmark, InputSize};
 
@@ -302,6 +302,41 @@ fn backpressure_preserves_identity_under_a_tiny_window() {
     assert!(
         divergences.is_empty(),
         "backpressure changed the result: {divergences:#?}"
+    );
+    drop(server);
+}
+
+/// A session whose profiler panics reports the panic payload to the
+/// client instead of a bare "worker panicked". The probe is a write
+/// whose end address overflows `u64`, which debug builds trap on.
+#[cfg(debug_assertions)]
+#[test]
+fn session_worker_panic_reports_its_payload() {
+    let server = Server::bind(Listen::parse("127.0.0.1:0"), ServeConfig::default())
+        .expect("bind fault server");
+    let address = server.address();
+
+    let mut client = Client::connect(&address, &SessionSpec::trace("prober", serve_config()))
+        .expect("connect probe client");
+    let probe = RuntimeEvent::Write {
+        access: MemAccess::new(u64::MAX - 2, 8),
+    };
+    let outcome = client
+        .stream_trace(&SymbolTable::new(), &[probe])
+        .and_then(|()| client.finish().map(|_| ()));
+    let message = match outcome {
+        Err(sigil_serve::ClientError::Server { message, .. }) => message,
+        other => panic!("expected a server-reported session error, got {other:?}"),
+    };
+    assert!(
+        message.contains("session worker panicked: attempt to add with overflow"),
+        "panic payload missing from the session error: {message}"
+    );
+
+    assert_session_conforms(
+        &address,
+        "after-panic",
+        &record_program(&GenProgram::generate(7)),
     );
     drop(server);
 }
