@@ -171,6 +171,18 @@ pub struct BinTotals {
     pub transfer_bytes: u64,
 }
 
+impl ChunkInfo {
+    /// Counts one record into the entry.
+    fn count(&mut self, record: &EventRecord) {
+        self.records += 1;
+        match *record {
+            EventRecord::Call { .. } => self.call_records += 1,
+            EventRecord::Compute { ops, .. } => self.compute_ops += ops,
+            EventRecord::Transfer { bytes, .. } => self.transfer_bytes += bytes,
+        }
+    }
+}
+
 impl BinTotals {
     fn accumulate(&mut self, info: &ChunkInfo) {
         self.chunks += 1;
@@ -216,7 +228,7 @@ struct Cursor<'a> {
     pos: usize,
     /// Absolute file offset of `data[0]`, for error locations.
     base: u64,
-    chunk: usize,
+    chunk: Option<usize>,
 }
 
 impl Cursor<'_> {
@@ -228,7 +240,7 @@ impl Cursor<'_> {
         let b = *self
             .data
             .get(self.pos)
-            .ok_or_else(|| BinError::format(self.offset(), Some(self.chunk), "truncated record"))?;
+            .ok_or_else(|| BinError::format(self.offset(), self.chunk, "truncated record"))?;
         self.pos += 1;
         Ok(b)
     }
@@ -240,11 +252,7 @@ impl Cursor<'_> {
         loop {
             let byte = self.byte()?;
             if shift == 63 && byte > 1 {
-                return Err(BinError::format(
-                    start,
-                    Some(self.chunk),
-                    "varint overflows u64",
-                ));
+                return Err(BinError::format(start, self.chunk, "varint overflows u64"));
             }
             value |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
@@ -254,7 +262,7 @@ impl Cursor<'_> {
             if shift > 63 {
                 return Err(BinError::format(
                     start,
-                    Some(self.chunk),
+                    self.chunk,
                     "varint longer than 10 bytes",
                 ));
             }
@@ -265,11 +273,7 @@ impl Cursor<'_> {
         let start = self.offset();
         let raw = self.varint()?;
         let raw = u32::try_from(raw).map_err(|_| {
-            BinError::format(
-                start,
-                Some(self.chunk),
-                format!("context id {raw} out of range"),
-            )
+            BinError::format(start, self.chunk, format!("context id {raw} out of range"))
         })?;
         Ok(ContextId(raw))
     }
@@ -375,10 +379,49 @@ fn decode_record(cursor: &mut Cursor<'_>, prev_call: &mut u64) -> Result<EventRe
         }
         other => Err(BinError::format(
             at,
-            Some(cursor.chunk),
+            cursor.chunk,
             format!("unknown record tag {other:#04x}"),
         )),
     }
+}
+
+/// Decodes exactly `records` records from one chunk payload, appending
+/// them to `out`. `base` is the payload's absolute offset and `chunk`
+/// its index, for error locations.
+///
+/// Reserves room for at most `payload.len() / 4` records, whatever
+/// `records` claims: every record is at least four bytes (a tag and
+/// three varints), so a larger count is a truncated-record error, not
+/// an allocation.
+fn decode_payload(
+    payload: &[u8],
+    records: u32,
+    base: u64,
+    chunk: Option<usize>,
+    out: &mut Vec<EventRecord>,
+) -> Result<(), BinError> {
+    out.reserve((records as usize).min(payload.len() / 4));
+    let mut cursor = Cursor {
+        data: payload,
+        pos: 0,
+        base,
+        chunk,
+    };
+    let mut prev_call = 0u64;
+    for _ in 0..records {
+        out.push(decode_record(&mut cursor, &mut prev_call)?);
+    }
+    if cursor.pos != payload.len() {
+        return Err(BinError::format(
+            cursor.offset(),
+            chunk,
+            format!(
+                "{} trailing payload bytes after the last record",
+                payload.len() - cursor.pos
+            ),
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -412,27 +455,8 @@ pub fn encode_chunk_payload(records: &[EventRecord]) -> Vec<u8> {
 /// Returns a located [`BinError`] on malformed records, a record count
 /// mismatch, or trailing payload bytes.
 pub fn decode_chunk_payload(payload: &[u8], records: u32) -> Result<Vec<EventRecord>, BinError> {
-    let mut out = Vec::with_capacity(records as usize);
-    let mut cursor = Cursor {
-        data: payload,
-        pos: 0,
-        base: 0,
-        chunk: 0,
-    };
-    let mut prev_call = 0u64;
-    for _ in 0..records {
-        out.push(decode_record(&mut cursor, &mut prev_call)?);
-    }
-    if cursor.pos != payload.len() {
-        return Err(BinError::format(
-            cursor.offset(),
-            None,
-            format!(
-                "{} trailing payload bytes after the last record",
-                payload.len() - cursor.pos
-            ),
-        ));
-    }
+    let mut out = Vec::new();
+    decode_payload(payload, records, 0, None, &mut out)?;
     Ok(out)
 }
 
@@ -504,12 +528,7 @@ impl<W: Write> BinWriter<W> {
     /// Fails if a full chunk cannot be flushed to the sink.
     pub fn push(&mut self, record: &EventRecord) -> io::Result<()> {
         encode_record(&mut self.buf, record, &mut self.prev_call);
-        self.pending.records += 1;
-        match *record {
-            EventRecord::Call { .. } => self.pending.call_records += 1,
-            EventRecord::Compute { ops, .. } => self.pending.compute_ops += ops,
-            EventRecord::Transfer { bytes, .. } => self.pending.transfer_bytes += bytes,
-        }
+        self.pending.count(record);
         if self.pending.records as usize >= self.chunk_target {
             self.flush_chunk()?;
         }
@@ -688,11 +707,13 @@ impl<'a> BinReader<'a> {
                 "index offset does not point at an index tag",
             ));
         }
-        let entries = chunk_count as usize;
-        let need = entries
-            .checked_mul(INDEX_ENTRY_LEN)
-            .map(|n| n + index_at + 1)
-            .filter(|&end| end == footer_at)
+        let entries = usize::try_from(chunk_count)
+            .ok()
+            .filter(|&n| {
+                n.checked_mul(INDEX_ENTRY_LEN)
+                    .and_then(|len| len.checked_add(index_at + 1))
+                    == Some(footer_at)
+            })
             .ok_or_else(|| {
                 BinError::format(
                     index_at as u64,
@@ -700,7 +721,6 @@ impl<'a> BinReader<'a> {
                     format!("index length does not match {chunk_count} chunks"),
                 )
             })?;
-        debug_assert_eq!(need, footer_at);
         let mut index = Vec::with_capacity(entries);
         let mut totals = BinTotals::default();
         let mut expect_offset = HEADER_LEN as u64;
@@ -843,42 +863,13 @@ impl<'a> BinReader<'a> {
     /// Panics if `i >= self.chunk_count()`.
     pub fn decode_chunk_into(&self, i: usize, out: &mut Vec<EventRecord>) -> Result<(), BinError> {
         out.clear();
-        let info = self.index[i];
-        let (payload, base) = self.payload(i)?;
-        out.reserve(info.records as usize);
-        let mut cursor = Cursor {
-            data: payload,
-            pos: 0,
-            base,
-            chunk: i,
-        };
-        let mut prev_call = 0u64;
-        for _ in 0..info.records {
-            out.push(decode_record(&mut cursor, &mut prev_call)?);
-        }
-        if cursor.pos != payload.len() {
-            return Err(BinError::format(
-                cursor.offset(),
-                Some(i),
-                format!(
-                    "{} trailing payload bytes after the last record",
-                    payload.len() - cursor.pos
-                ),
-            ));
-        }
-        Ok(())
+        self.append_chunk(i, out)
     }
 
-    /// Streams every record, decoding lazily one chunk at a time.
-    pub fn records(&self) -> Records<'a, '_> {
-        Records {
-            reader: self,
-            chunk: 0,
-            cursor: None,
-            remaining: 0,
-            prev_call: 0,
-            failed: false,
-        }
+    /// Decodes chunk `i`, appending its records to `out`.
+    fn append_chunk(&self, i: usize, out: &mut Vec<EventRecord>) -> Result<(), BinError> {
+        let (payload, base) = self.payload(i)?;
+        decode_payload(payload, self.index[i].records, base, Some(i), out)
     }
 
     /// Decodes the whole file into an in-memory [`EventFile`].
@@ -887,9 +878,9 @@ impl<'a> BinReader<'a> {
     ///
     /// Returns a located [`BinError`] on any malformed chunk.
     pub fn to_event_file(&self) -> Result<EventFile, BinError> {
-        let mut records = Vec::with_capacity(usize::try_from(self.totals.records).unwrap_or(0));
-        for result in self.records() {
-            records.push(result?);
+        let mut records = Vec::new();
+        for i in 0..self.chunk_count() {
+            self.append_chunk(i, &mut records)?;
         }
         Ok(EventFile::from_records(records))
     }
@@ -908,14 +899,7 @@ impl<'a> BinReader<'a> {
                 offset: info.offset,
                 ..ChunkInfo::default()
             };
-            for record in &buf {
-                scanned.records += 1;
-                match *record {
-                    EventRecord::Call { .. } => scanned.call_records += 1,
-                    EventRecord::Compute { ops, .. } => scanned.compute_ops += ops,
-                    EventRecord::Transfer { bytes, .. } => scanned.transfer_bytes += bytes,
-                }
-            }
+            buf.iter().for_each(|record| scanned.count(record));
             if scanned != *info {
                 return Err(BinError::format(
                     info.offset,
@@ -925,72 +909,6 @@ impl<'a> BinReader<'a> {
             }
         }
         Ok(self.totals)
-    }
-}
-
-/// Streaming record iterator over a [`BinReader`].
-pub struct Records<'a, 'r> {
-    reader: &'r BinReader<'a>,
-    chunk: usize,
-    cursor: Option<Cursor<'a>>,
-    remaining: u32,
-    prev_call: u64,
-    failed: bool,
-}
-
-impl Iterator for Records<'_, '_> {
-    type Item = Result<EventRecord, BinError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        while self.remaining == 0 {
-            if self.chunk >= self.reader.chunk_count() {
-                return None;
-            }
-            let info = self.reader.index[self.chunk];
-            match self.reader.payload(self.chunk) {
-                Ok((payload, base)) => {
-                    self.cursor = Some(Cursor {
-                        data: payload,
-                        pos: 0,
-                        base,
-                        chunk: self.chunk,
-                    });
-                    self.remaining = info.records;
-                    self.prev_call = 0;
-                    self.chunk += 1;
-                }
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-        let cursor = self.cursor.as_mut().expect("cursor set with remaining > 0");
-        self.remaining -= 1;
-        match decode_record(cursor, &mut self.prev_call) {
-            Ok(record) => {
-                if self.remaining == 0 && cursor.pos != cursor.data.len() {
-                    self.failed = true;
-                    let err = BinError::format(
-                        cursor.offset(),
-                        Some(self.chunk - 1),
-                        format!(
-                            "{} trailing payload bytes after the last record",
-                            cursor.data.len() - cursor.pos
-                        ),
-                    );
-                    return Some(Err(err));
-                }
-                Some(Ok(record))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
     }
 }
 
@@ -1113,38 +1031,18 @@ impl<R: Read> ChunkStream<R> {
             ));
         }
         self.records.clear();
-        self.records.reserve(records as usize);
-        let mut cursor = Cursor {
-            data: &self.payload,
-            pos: 0,
-            base: chunk_at + 1 + CHUNK_HEADER_LEN as u64,
-            chunk,
-        };
+        decode_payload(
+            &self.payload,
+            records,
+            chunk_at + 1 + CHUNK_HEADER_LEN as u64,
+            Some(chunk),
+            &mut self.records,
+        )?;
         let mut info = ChunkInfo {
             offset: chunk_at,
             ..ChunkInfo::default()
         };
-        let mut prev_call = 0u64;
-        for _ in 0..records {
-            let record = decode_record(&mut cursor, &mut prev_call)?;
-            info.records += 1;
-            match record {
-                EventRecord::Call { .. } => info.call_records += 1,
-                EventRecord::Compute { ops, .. } => info.compute_ops += ops,
-                EventRecord::Transfer { bytes, .. } => info.transfer_bytes += bytes,
-            }
-            self.records.push(record);
-        }
-        if cursor.pos != self.payload.len() {
-            return Err(BinError::format(
-                cursor.offset(),
-                Some(chunk),
-                format!(
-                    "{} trailing payload bytes after the last record",
-                    self.payload.len() - cursor.pos
-                ),
-            ));
-        }
+        self.records.iter().for_each(|record| info.count(record));
         self.seen.push(info);
         self.offset = chunk_at + 1 + CHUNK_HEADER_LEN as u64 + u64::from(payload_len);
         Ok(Some(&self.records))
@@ -1275,7 +1173,7 @@ mod tests {
                 data: &buf,
                 pos: 0,
                 base: 0,
-                chunk: 0,
+                chunk: None,
             };
             assert_eq!(cursor.varint().expect("valid"), value);
             assert_eq!(cursor.pos, buf.len());
@@ -1301,6 +1199,44 @@ mod tests {
         // Count mismatches and trailing bytes are located errors.
         assert!(decode_chunk_payload(&payload, file.len() as u32 + 1).is_err());
         assert!(decode_chunk_payload(&payload, file.len() as u32 - 1).is_err());
+    }
+
+    #[test]
+    fn record_count_beyond_the_payload_reserves_nothing() {
+        // A one-byte payload claiming u32::MAX records fails as a
+        // located truncation without reserving room for the claim.
+        let err = decode_chunk_payload(&[0x00], u32::MAX).expect_err("one byte holds no record");
+        let BinError::Format {
+            offset, message, ..
+        } = err
+        else {
+            panic!("expected a format error");
+        };
+        assert_eq!(offset, 1);
+        assert!(message.contains("truncated"), "{message}");
+    }
+
+    #[test]
+    fn crafted_chunk_count_is_a_format_error() {
+        // An 80-byte file whose footer claims u64::MAX / 32 chunks with
+        // the index tag at offset 40: the index length overflows usize.
+        let mut bytes = vec![0u8; 80];
+        bytes[..4].copy_from_slice(&MAGIC);
+        bytes[4..6].copy_from_slice(&VERSION.to_le_bytes());
+        bytes[40] = TAG_INDEX;
+        bytes[48..56].copy_from_slice(&40u64.to_le_bytes());
+        bytes[56..64].copy_from_slice(&(u64::MAX / 32).to_le_bytes());
+        bytes[72..].copy_from_slice(&END_MAGIC);
+        match BinReader::parse(&bytes) {
+            Err(BinError::Format {
+                offset, message, ..
+            }) => {
+                assert_eq!(offset, 40);
+                assert!(message.contains("index length"), "{message}");
+            }
+            Err(other) => panic!("expected a format error, got {other}"),
+            Ok(_) => panic!("crafted footer parsed"),
+        }
     }
 
     #[test]

@@ -5,10 +5,20 @@
 //! occur. In the latter representation, a program's essence can be
 //! reconstructed as a sequence of dependent 'events'. These events are
 //! fragments of computation separated by data transfer edges."
+//!
+//! [`EventFile`]'s `push_*` methods hold the record-level rules (drop
+//! empty fragments, coalesce adjacent transfers of one pair); the
+//! crate-private `Sequencer` holds the emission rules above them — which
+//! frame a fragment belongs to, when it is flushed, and where a read's
+//! transfers land — for serial and sharded replay alike.
+
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 use sigil_callgrind::ContextId;
 use sigil_trace::CallNumber;
+
+use crate::shard::TransferMap;
 
 /// One record of the event file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -287,6 +297,162 @@ impl EventFile {
     }
 }
 
+/// One event-emission step, in program order: the vocabulary the
+/// profiler front end speaks to the [`Sequencer`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SeqOp {
+    /// A dynamic call was entered; its parent is the current frame.
+    Call { call: CallNumber, ctx: ContextId },
+    /// The current frame returned.
+    Return,
+    /// Flush the current frame's pending ops (thread switch boundary).
+    Flush,
+    /// Make `thread` current, without a flush (`on_finish` drains
+    /// residual frames without one).
+    Switch { thread: u32 },
+    /// `count` retired ops charged to the current frame.
+    Ops { count: u64 },
+    /// A read access, which retires one op; its transfer segments are
+    /// looked up by access index when a logged run is replayed.
+    Read { idx: u64 },
+}
+
+/// A frame as the event file sees it: the call and the ops it retired
+/// since its last flushed fragment.
+#[derive(Debug, Clone, Copy)]
+struct SeqFrame {
+    ctx: ContextId,
+    call: CallNumber,
+    pending: u64,
+}
+
+/// The one event-file emitter, shared by serial and sharded replay.
+///
+/// It keeps per-thread frame stacks with pending ops and applies
+/// [`SeqOp`]s to them: a call or return flushes the current frame's
+/// fragment first, a read flushes and splices its transfers only when it
+/// has some (so the reader's ops precede them), and ops retired with no
+/// open frame are dropped.
+///
+/// Serial replay applies each op as it happens and hands a read's
+/// transfers straight from the kernel to [`Sequencer::read`]. Sharded
+/// replay does not know them until the workers join, so a *logged*
+/// sequencer appends the same ops to a log, and [`Sequencer::finish`]
+/// replays it with the workers' transfer segments.
+#[derive(Debug, Default)]
+pub(crate) struct Sequencer {
+    events: EventFile,
+    /// The current thread's frames.
+    frames: Vec<SeqFrame>,
+    /// Every other thread's frames, by raw thread id.
+    parked: HashMap<u32, Vec<SeqFrame>>,
+    thread: u32,
+    /// Ops awaiting [`Sequencer::finish`] (logged sequencers only).
+    log: Option<Vec<SeqOp>>,
+}
+
+impl Sequencer {
+    /// A sequencer that applies ops as they happen, or (`logged`) one
+    /// that logs them until [`Sequencer::finish`].
+    pub(crate) fn new(logged: bool) -> Self {
+        Sequencer {
+            log: logged.then(Vec::new),
+            ..Sequencer::default()
+        }
+    }
+
+    /// Applies `op`, or appends it to the log; runs of `Ops` coalesce
+    /// in the log.
+    pub(crate) fn push(&mut self, op: SeqOp) {
+        let Some(log) = self.log.as_mut() else {
+            return self.apply(op);
+        };
+        if let (SeqOp::Ops { count }, Some(SeqOp::Ops { count: last })) = (op, log.last_mut()) {
+            *last += count;
+        } else {
+            log.push(op);
+        }
+    }
+
+    /// A read with its cross-call transfers, `(producer call, bytes)` in
+    /// byte order: retires the read's op, then, if it moved any bytes,
+    /// flushes the reader's fragment and splices the transfers in.
+    pub(crate) fn read<'t>(&mut self, transfers: impl IntoIterator<Item = &'t (CallNumber, u64)>) {
+        self.retire(1);
+        let mut transfers = transfers.into_iter().peekable();
+        if transfers.peek().is_none() {
+            return;
+        }
+        self.flush();
+        let to_call = self.frames.last().map_or(CallNumber::ROOT, |f| f.call);
+        for &(from_call, bytes) in transfers {
+            self.events.push_transfer(from_call, to_call, bytes);
+        }
+    }
+
+    /// The event file. A logged run is replayed first, splicing each
+    /// read's segments from `transfers` (keyed by access index) back in
+    /// byte order.
+    pub(crate) fn finish(mut self, mut transfers: TransferMap) -> EventFile {
+        for op in self.log.take().unwrap_or_default() {
+            match op {
+                SeqOp::Read { idx } => {
+                    let mut parts = transfers.remove(&idx).unwrap_or_default();
+                    parts.sort_by_key(|&(part, _)| part);
+                    self.read(parts.iter().flat_map(|(_, segs)| segs));
+                }
+                op => self.apply(op),
+            }
+        }
+        self.events
+    }
+
+    fn apply(&mut self, op: SeqOp) {
+        match op {
+            SeqOp::Call { call, ctx } => {
+                let parent_call = self.frames.last().map_or(CallNumber::ROOT, |f| f.call);
+                self.flush();
+                self.events.push_call(parent_call, call, ctx);
+                self.frames.push(SeqFrame {
+                    ctx,
+                    call,
+                    pending: 0,
+                });
+            }
+            SeqOp::Return => {
+                self.flush();
+                self.frames.pop();
+            }
+            SeqOp::Flush => self.flush(),
+            SeqOp::Switch { thread } => {
+                if thread != self.thread {
+                    let frames = self.parked.remove(&thread).unwrap_or_default();
+                    let parked = std::mem::replace(&mut self.frames, frames);
+                    self.parked.insert(self.thread, parked);
+                    self.thread = thread;
+                }
+            }
+            SeqOp::Ops { count } => self.retire(count),
+            // Only a logged read waits for its segments; applied now, a
+            // read op carries none (serial replay calls `read` itself).
+            SeqOp::Read { .. } => self.read(&[]),
+        }
+    }
+
+    fn retire(&mut self, count: u64) {
+        if let Some(frame) = self.frames.last_mut() {
+            frame.pending += count;
+        }
+    }
+
+    fn flush(&mut self) {
+        if let Some(frame) = self.frames.last_mut() {
+            let ops = std::mem::take(&mut frame.pending);
+            self.events.push_compute(frame.call, frame.ctx, ops);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,6 +562,133 @@ mod tests {
         // The follow-up record keeps coalescing normally.
         f.push_transfer(call(1), call(2), 7);
         assert_eq!(f.len(), 2);
+    }
+
+    /// Call main(1) → 3 ops → a read with an 8-byte transfer from root
+    /// → 2 ops → return.
+    const READ_IN_MAIN: [SeqOp; 5] = [
+        SeqOp::Call {
+            call: CallNumber::from_raw(1),
+            ctx: ContextId(1),
+        },
+        SeqOp::Ops { count: 3 },
+        SeqOp::Read { idx: 0 },
+        SeqOp::Ops { count: 2 },
+        SeqOp::Return,
+    ];
+
+    #[test]
+    fn sequencer_reproduces_serial_emission_order() {
+        // The flush before the Transfer counts the 3 ops plus the read's
+        // own op; the trailing Compute counts the 2 ops after.
+        let mut logged = Sequencer::new(true);
+        for op in READ_IN_MAIN {
+            logged.push(op);
+        }
+        let mut transfers = TransferMap::new();
+        transfers.insert(0, vec![(0, vec![(CallNumber::ROOT, 8)])]);
+        let events = logged.finish(transfers);
+        let records = events.records();
+        assert_eq!(records.len(), 4);
+        assert!(matches!(records[0], EventRecord::Call { .. }));
+        assert!(matches!(records[1], EventRecord::Compute { ops: 4, .. }));
+        assert!(
+            matches!(records[2], EventRecord::Transfer { bytes: 8, to_call, .. }
+                if to_call == call(1))
+        );
+        assert!(matches!(records[3], EventRecord::Compute { ops: 2, .. }));
+
+        // Applied live, with the read's transfers passed directly, the
+        // same ops emit the same file.
+        let mut live = Sequencer::new(false);
+        for op in READ_IN_MAIN {
+            match op {
+                SeqOp::Read { .. } => live.read(&[(CallNumber::ROOT, 8)]),
+                op => live.push(op),
+            }
+        }
+        assert_eq!(live.finish(TransferMap::new()), events);
+    }
+
+    #[test]
+    fn sequencer_orders_straddling_parts_by_byte_order() {
+        // Two parts arriving out of order must splice back in part order
+        // and coalesce into one transfer record when the producer call
+        // matches.
+        let producer = call(7);
+        let mut logged = Sequencer::new(true);
+        logged.push(SeqOp::Call {
+            call: call(9),
+            ctx: ContextId(2),
+        });
+        logged.push(SeqOp::Read { idx: 5 });
+        logged.push(SeqOp::Return);
+        let mut transfers = TransferMap::new();
+        transfers.insert(5, vec![(1, vec![(producer, 4)]), (0, vec![(producer, 12)])]);
+        let events = logged.finish(transfers);
+        let transfer_bytes: Vec<u64> = events
+            .records()
+            .iter()
+            .filter_map(|r| match r {
+                EventRecord::Transfer { bytes, .. } => Some(*bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(transfer_bytes, vec![16], "parts coalesce in byte order");
+    }
+
+    #[test]
+    fn sequencer_keeps_each_threads_frames() {
+        // Thread 1's fragment stays pending across a switch without a
+        // flush and is emitted when thread 1 resumes and returns; ops
+        // with no open frame are dropped.
+        let mut live = Sequencer::new(false);
+        for op in [
+            SeqOp::Ops { count: 5 },
+            SeqOp::Switch { thread: 1 },
+            SeqOp::Call {
+                call: call(1),
+                ctx: ContextId(1),
+            },
+            SeqOp::Ops { count: 2 },
+            SeqOp::Switch { thread: 0 },
+            SeqOp::Call {
+                call: call(2),
+                ctx: ContextId(2),
+            },
+            SeqOp::Ops { count: 3 },
+            SeqOp::Return,
+            SeqOp::Switch { thread: 1 },
+            SeqOp::Return,
+        ] {
+            live.push(op);
+        }
+        let events = live.finish(TransferMap::new());
+        assert_eq!(
+            events.records(),
+            &[
+                EventRecord::Call {
+                    parent_call: CallNumber::ROOT,
+                    call: call(1),
+                    ctx: ContextId(1),
+                },
+                EventRecord::Call {
+                    parent_call: CallNumber::ROOT,
+                    call: call(2),
+                    ctx: ContextId(2),
+                },
+                EventRecord::Compute {
+                    call: call(2),
+                    ctx: ContextId(2),
+                    ops: 3,
+                },
+                EventRecord::Compute {
+                    call: call(1),
+                    ctx: ContextId(1),
+                    ops: 2,
+                },
+            ]
+        );
     }
 
     #[test]

@@ -10,19 +10,17 @@ use sigil_trace::{
 };
 
 use crate::config::SigilConfig;
-use crate::events_out::EventFile;
+use crate::events_out::{SeqOp, Sequencer};
 use crate::kernel::{comm_entry, Accessor, Kernel, Transfers};
 use crate::phase::PhaseBuilder;
 use crate::profile::{ContextComm, Profile};
-use crate::shard::{sequence_events, ShardEngine, ShardFragment};
+use crate::shard::{ShardEngine, ShardFragment, TransferMap};
 use crate::stats::CommStats;
 
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     ctx: ContextId,
     call: CallNumber,
-    /// Retired ops since this frame's last flushed compute fragment.
-    pending_ops: u64,
 }
 
 /// Aggregated line-granularity reuse report (drives Figure 12).
@@ -74,9 +72,10 @@ enum Replay {
 ///
 /// The profiler itself is the front end of replay: it keeps the
 /// globally ordered state (frames, call numbers, the phase clock, call
-/// tallies, line shadowing, whole-access byte counts) and hands each
-/// access's per-byte work to the Table-I kernel (see
-/// [`crate::kernel`]), either in-thread or through shard dispatch.
+/// tallies, line shadowing, whole-access byte counts, the event
+/// sequencer) and hands each access's per-byte work to the Table-I
+/// kernel (see [`crate::kernel`]), either in-thread or through shard
+/// dispatch.
 #[derive(Debug)]
 pub struct SigilProfiler {
     config: SigilConfig,
@@ -90,10 +89,9 @@ pub struct SigilProfiler {
     /// Whole-access `bytes_read` / `bytes_written` per context; the
     /// per-byte classes are tallied by the kernel.
     comm: Vec<CommStats>,
-    /// The incrementally built event file (in-thread replay only:
-    /// sharded event files are sequenced from the dispatch log at the
-    /// end of the run).
-    events: Option<EventFile>,
+    /// The event-file emitter (present when events are recorded): live
+    /// in-thread, logged until `into_profile` when sharded.
+    sequencer: Option<Sequencer>,
     /// Call tallies of the phase-sliced profile (present when phase
     /// collection is on); the kernel buckets the transfers.
     phases: Option<PhaseBuilder>,
@@ -109,7 +107,8 @@ pub struct SigilProfiler {
 impl SigilProfiler {
     /// Creates a profiler with the given configuration.
     pub fn new(config: SigilConfig) -> Self {
-        let replay = if config.shards > 1 {
+        let sharded = config.shards > 1;
+        let replay = if sharded {
             Replay::Sharded(ShardEngine::new(&config))
         } else {
             let table = match config.shadow_chunk_limit {
@@ -127,8 +126,7 @@ impl SigilProfiler {
             thread_frames: HashMap::from([(0, Vec::with_capacity(64))]),
             current_thread: 0,
             comm: Vec::new(),
-            events: (config.record_events && matches!(replay, Replay::InThread(_)))
-                .then(EventFile::new),
+            sequencer: config.record_events.then(|| Sequencer::new(sharded)),
             phases: config.phase_bucket_ops.map(PhaseBuilder::new),
             phase_clock: 0,
             replay,
@@ -190,21 +188,12 @@ impl SigilProfiler {
             .unwrap_or(Frame {
                 ctx: ContextId::ROOT,
                 call: CallNumber::ROOT,
-                pending_ops: 0,
             })
     }
 
-    fn flush_pending(&mut self) {
-        if self.events.is_none() {
-            return;
-        }
-        if let Some(frame) = self.frames_mut().last_mut() {
-            let ops = frame.pending_ops;
-            frame.pending_ops = 0;
-            let (call, ctx) = (frame.call, frame.ctx);
-            if let Some(events) = self.events.as_mut() {
-                events.push_compute(call, ctx, ops);
-            }
+    fn sequence(&mut self, op: SeqOp) {
+        if let Some(sequencer) = self.sequencer.as_mut() {
+            sequencer.push(op);
         }
     }
 
@@ -214,14 +203,7 @@ impl SigilProfiler {
         self.call_counter = self.call_counter.next();
         let call = self.call_counter;
         let parent = self.current_frame();
-        self.flush_pending();
-        if let Some(events) = self.events.as_mut() {
-            events.push_call(parent.call, call, ctx);
-        }
-        if let Replay::Sharded(engine) = &mut self.replay {
-            engine.sync_ctxs(self.cg.tree());
-            engine.log_call(call, ctx);
-        }
+        self.sequence(SeqOp::Call { call, ctx });
         if let Some(builder) = self.phases.as_mut() {
             // The call is tallied at the pre-tick clock.
             builder.record_call(parent.ctx, ctx, self.phase_clock);
@@ -229,40 +211,27 @@ impl SigilProfiler {
         // The Call record itself retires one op and is always visible in
         // the event stream, so it always ticks the phase clock.
         self.phase_clock += 1;
-        self.frames_mut().push(Frame {
-            ctx,
-            call,
-            pending_ops: 0,
-        });
+        self.frames_mut().push(Frame { ctx, call });
     }
 
-    /// Retires `count` ops into the open frame's pending fragment and
-    /// ticks the phase clock. With no open frame both drop the ops —
-    /// exactly like the event sequencer, so the phase clock stays
-    /// reconstructible from the event stream.
-    fn retire_pending(&mut self, count: u64) {
-        let Some(f) = self.frames_mut().last_mut() else {
-            return;
-        };
-        f.pending_ops += count;
-        self.phase_clock += count;
-    }
-
-    /// Explicit ops and branches: logged for the sharded event
-    /// sequencer (which drops them on an empty stack itself), then
-    /// retired.
-    fn retire_ops(&mut self, count: u64) {
-        if let Replay::Sharded(engine) = &mut self.replay {
-            engine.log_ops(count);
+    /// Ticks the phase clock by `count` retired ops. With no open frame
+    /// the ops are dropped — exactly like the event sequencer drops
+    /// them, so the phase clock stays reconstructible from the event
+    /// stream.
+    fn tick(&mut self, count: u64) {
+        if self.frames().is_some_and(|frames| !frames.is_empty()) {
+            self.phase_clock += count;
         }
-        self.retire_pending(count);
+    }
+
+    /// Explicit ops and branches.
+    fn retire_ops(&mut self, count: u64) {
+        self.tick(count);
+        self.sequence(SeqOp::Ops { count });
     }
 
     fn handle_leave(&mut self) {
-        self.flush_pending();
-        if let Replay::Sharded(engine) = &mut self.replay {
-            engine.log_return();
-        }
+        self.sequence(SeqOp::Return);
         self.frames_mut().pop();
     }
 
@@ -284,7 +253,7 @@ impl SigilProfiler {
         } else {
             stats.bytes_read += u64::from(access.size);
         }
-        self.retire_pending(1);
+        self.tick(1);
         let tree = self.cg.tree();
         let who = Accessor {
             ctx: frame.ctx,
@@ -298,10 +267,10 @@ impl SigilProfiler {
             at,
             phase_at: self.phase_clock,
         };
-        match &mut self.replay {
+        let dispatched = match &mut self.replay {
             Replay::Sharded(engine) => {
                 engine.sync_ctxs(tree);
-                engine.dispatch_access(write, access.addr, access.len(), who);
+                Some(engine.dispatch_access(write, access.addr, access.len(), who))
             }
             Replay::InThread(kernel) => {
                 self.transfers.clear();
@@ -314,16 +283,15 @@ impl SigilProfiler {
                     func_of,
                     &mut self.transfers,
                 );
-                if !self.transfers.is_empty() {
-                    // Flush the consumer's pending ops first so they
-                    // precede the transfers; later flushes would push
-                    // zero-op fragments, which `push_compute` drops.
-                    self.flush_pending();
-                    let events = self.events.as_mut().expect("transfers imply events");
-                    for &(producer_call, bytes) in &self.transfers {
-                        events.push_transfer(producer_call, frame.call, bytes);
-                    }
-                }
+                None
+            }
+        };
+        if let Some(sequencer) = self.sequencer.as_mut() {
+            match (write, dispatched) {
+                (true, _) => sequencer.push(SeqOp::Ops { count: 1 }),
+                // The workers return this read's transfers at finish.
+                (false, Some(idx)) => sequencer.push(SeqOp::Read { idx }),
+                (false, None) => sequencer.read(&self.transfers),
             }
         }
     }
@@ -346,24 +314,21 @@ impl SigilProfiler {
             phases: self.phases.take().map(PhaseBuilder::finish),
             ..ShardFragment::default()
         };
-        let (mut memory, events) = match self.replay {
+        let (mut memory, transfers) = match self.replay {
             Replay::InThread(kernel) => {
                 let fragment = kernel.finish();
                 merged.merge(&fragment);
-                (fragment.memory, self.events.take())
+                (fragment.memory, TransferMap::new())
             }
             Replay::Sharded(engine) => {
-                let mut finish = engine.finish();
+                let finish = engine.finish();
                 for fragment in &finish.fragments {
                     merged.merge(fragment);
                 }
-                let events = self
-                    .config
-                    .record_events
-                    .then(|| sequence_events(finish.seq, &mut finish.transfers));
-                (finish.memory, events)
+                (finish.memory, finish.transfers)
             }
         };
+        let events = self.sequencer.map(|sequencer| sequencer.finish(transfers));
         if let Some(lines) = &self.lines {
             memory = memory.combined(lines.memory_stats());
         }
@@ -431,10 +396,10 @@ impl ExecutionObserver for SigilProfiler {
             RuntimeEvent::ThreadSwitch { thread } => {
                 // Close the outgoing thread's open fragment so its ops do
                 // not leak into the other thread's timeline.
-                self.flush_pending();
-                if let Replay::Sharded(engine) = &mut self.replay {
-                    engine.log_switch(thread.as_raw());
-                }
+                self.sequence(SeqOp::Flush);
+                self.sequence(SeqOp::Switch {
+                    thread: thread.as_raw(),
+                });
                 self.current_thread = thread.as_raw();
             }
         }
@@ -447,9 +412,7 @@ impl ExecutionObserver for SigilProfiler {
         threads.sort_unstable();
         for thread in threads {
             self.current_thread = thread;
-            if let Replay::Sharded(engine) = &mut self.replay {
-                engine.log_resume(thread);
-            }
+            self.sequence(SeqOp::Switch { thread });
             while !self.frames_mut().is_empty() {
                 self.handle_leave();
             }

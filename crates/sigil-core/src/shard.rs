@@ -14,9 +14,10 @@
 //! that serial replay runs on the profiling thread. The
 //! [`crate::SigilProfiler`] front end keeps everything that is not
 //! per-byte in both modes (frames, call numbers, the phase clock and its
-//! call tallies, line shadowing, whole-access byte counts); its only
-//! fork is to classify in-thread or to call `dispatch_access` here.
-//! Three pieces of global state stay on the dispatch thread:
+//! call tallies, line shadowing, whole-access byte counts, and the event
+//! sequencer); per access it either classifies in-thread or calls
+//! `dispatch_access` here. Three pieces of global state stay on the
+//! dispatch thread:
 //!
 //! * **Global order** — the front end resolves each access's owner and
 //!   clocks into the kernel's `Accessor`, carried inside each
@@ -37,12 +38,14 @@
 //!   the serial footprint), and the serial table's access counters are
 //!   reproduced arithmetically by [`RouteStats`] — dispatch degenerates
 //!   to address routing.
-//! * **Event order** — the event file is globally ordered. The dispatcher
-//!   keeps a compact [`SeqOp`] log; workers return per-access transfer
-//!   segments; [`sequence_events`] replays the log with simulated frame
-//!   stacks, splicing the segments back in access order with the same
-//!   `push_compute`/`push_transfer` coalescing as the serial emitter, so
-//!   the reconstructed file is byte-identical.
+//! * **Event order** — the event file is globally ordered, but a read's
+//!   transfers are only known once its shard has applied it. The front
+//!   end's event sequencer (`crate::events_out`) therefore logs its ops
+//!   in this mode, each read under the access index `dispatch_access`
+//!   returns; workers return per-access transfer segments
+//!   (`TransferMap`), and `into_profile` replays the log through the
+//!   same sequencer that serial replay drives live, so the file is
+//!   byte-identical.
 //!
 //! Dispatch itself is **epoch-pipelined**: each access is resolved into
 //! chunk runs (plus any eviction mirrors) in a scratch list, then staged
@@ -76,10 +79,9 @@ use std::time::Instant;
 
 use sigil_callgrind::{CallTree, ContextId};
 use sigil_mem::{chunk_key, chunk_run, MemoryStats, ShadowObject, ShadowTable, CHUNK_SLOTS};
-use sigil_trace::{Addr, CallNumber, FunctionId};
+use sigil_trace::{Addr, FunctionId};
 
 use crate::config::SigilConfig;
-use crate::events_out::EventFile;
 use crate::kernel::{Accessor, Kernel, Transfers};
 use crate::phase::PhaseProfile;
 use crate::reuse::ContextReuse;
@@ -148,27 +150,6 @@ enum ShardMsg {
     Evict {
         key: u64,
     },
-}
-
-/// Globally-ordered event-file operations logged by the dispatcher
-/// (events mode only) and replayed by [`sequence_events`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SeqOp {
-    /// A dynamic call was entered (parent comes from the simulated
-    /// stack).
-    Call { call: CallNumber, ctx: ContextId },
-    /// The current frame returned.
-    Return,
-    /// Flush the current frame's pending ops (thread switch boundary).
-    Flush,
-    /// Make `thread` current (no flush — `on_finish` drains residual
-    /// frames without one, exactly like the serial path).
-    Switch { thread: u32 },
-    /// `count` retired ops charged to the current frame.
-    Ops { count: u64 },
-    /// A read access; its transfer segments (if any) are looked up by
-    /// index.
-    Read { idx: u64 },
 }
 
 /// One access resolved against global-order state: either a chunk run
@@ -263,7 +244,6 @@ pub(crate) struct ShardFinish {
     pub(crate) fragments: Vec<ShardFragment>,
     /// Every worker's transfer segments, keyed by access index.
     pub(crate) transfers: TransferMap,
-    pub(crate) seq: Vec<SeqOp>,
 }
 
 /// One shard's (or the dispatch thread's) contribution to a profile:
@@ -429,8 +409,6 @@ pub(crate) struct ShardEngine {
     /// Contexts broadcast so far (defs are sent in id order).
     synced_ctxs: usize,
     next_idx: u64,
-    events_on: bool,
-    seq: Vec<SeqOp>,
     /// Per-access resolution scratch (evictions interleaved before the
     /// runs that triggered them, in serial order).
     scratch_ops: Vec<ResolvedOp>,
@@ -512,8 +490,6 @@ impl ShardEngine {
             poisoned: None,
             synced_ctxs: 0,
             next_idx: 0,
-            events_on: config.record_events,
-            seq: Vec::new(),
             scratch_ops: Vec::new(),
             read_coalesce,
             epoch_accesses: 0,
@@ -642,54 +618,20 @@ impl ShardEngine {
         }
     }
 
-    pub(crate) fn log_call(&mut self, call: CallNumber, ctx: ContextId) {
-        if self.events_on {
-            self.seq.push(SeqOp::Call { call, ctx });
-        }
-    }
-
-    pub(crate) fn log_return(&mut self) {
-        if self.events_on {
-            self.seq.push(SeqOp::Return);
-        }
-    }
-
-    /// A thread switch during the run: flush, then switch (serial
-    /// `ThreadSwitch` semantics).
-    pub(crate) fn log_switch(&mut self, thread: u32) {
-        if self.events_on {
-            self.seq.push(SeqOp::Flush);
-            self.seq.push(SeqOp::Switch { thread });
-        }
-    }
-
-    /// A thread resumed by `on_finish` frame draining: switch without a
-    /// flush (the serial path sets `current_thread` directly).
-    pub(crate) fn log_resume(&mut self, thread: u32) {
-        if self.events_on {
-            self.seq.push(SeqOp::Switch { thread });
-        }
-    }
-
-    pub(crate) fn log_ops(&mut self, count: u64) {
-        if !self.events_on || count == 0 {
-            return;
-        }
-        // Runs of compute coalesce; reads/calls/switches break the run.
-        if let Some(SeqOp::Ops { count: last }) = self.seq.last_mut() {
-            *last += count;
-        } else {
-            self.seq.push(SeqOp::Ops { count });
-        }
-    }
-
     /// Routes one shadow access. Phase 1 resolves it into chunk runs
     /// (and any evictions they trigger) against the global-order state;
     /// phase 2 stages the resolved ops into per-shard batches,
     /// coalescing where legal; every [`EPOCH_ACCESSES`] accesses all
     /// staged batches flush so workers drain while dispatch resolves
-    /// ahead.
-    pub(crate) fn dispatch_access(&mut self, write: bool, addr: Addr, len: usize, who: Accessor) {
+    /// ahead. Returns the access's global index, which keys its
+    /// transfer segments in the finished [`TransferMap`].
+    pub(crate) fn dispatch_access(
+        &mut self,
+        write: bool,
+        addr: Addr,
+        len: usize,
+        who: Accessor,
+    ) -> u64 {
         if let Some((shard, message)) = self.poisoned.take() {
             panic!("shard worker {shard} panicked: {message}");
         }
@@ -697,13 +639,6 @@ impl ShardEngine {
         self.next_idx += 1;
         self.dispatch.accesses += 1;
         self.epoch_accesses += 1;
-        if write {
-            // The write retires one op; a read's op is implied by its
-            // sequencer `Read` entry.
-            self.log_ops(1);
-        } else if self.events_on {
-            self.seq.push(SeqOp::Read { idx });
-        }
         let timer = self.obs_on.then(Instant::now);
 
         // Phase 1: resolve into chunk runs + eviction mirrors.
@@ -800,6 +735,7 @@ impl ShardEngine {
                 u64::try_from(t1.duration_since(t0).as_nanos()).unwrap_or(u64::MAX);
             self.dispatch.busy_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
+        idx
     }
 
     /// The serial-equivalent shadow counters.
@@ -899,7 +835,6 @@ impl ShardEngine {
             memory,
             fragments,
             transfers,
-            seq: std::mem::take(&mut self.seq),
         }
     }
 
@@ -1046,76 +981,10 @@ fn shard_worker(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
     }
 }
 
-/// Replays the dispatcher's [`SeqOp`] log against simulated per-thread
-/// frame stacks, splicing worker transfer segments back in access
-/// order. Mirrors the serial emitter exactly: `push_compute` drops
-/// zero-op fragments, `push_transfer` coalesces adjacent same-pair
-/// records, a read's pending op is flushed before its transfers.
-pub(crate) fn sequence_events(seq: Vec<SeqOp>, transfers: &mut TransferMap) -> EventFile {
-    struct SimFrame {
-        ctx: ContextId,
-        call: CallNumber,
-        pending: u64,
-    }
-    fn flush(events: &mut EventFile, stack: &mut [SimFrame]) {
-        if let Some(frame) = stack.last_mut() {
-            let ops = frame.pending;
-            frame.pending = 0;
-            events.push_compute(frame.call, frame.ctx, ops);
-        }
-    }
-
-    let mut events = EventFile::new();
-    let mut stacks: HashMap<u32, Vec<SimFrame>> = HashMap::new();
-    let mut current: u32 = 0;
-    for op in seq {
-        let stack = stacks.entry(current).or_default();
-        match op {
-            SeqOp::Call { call, ctx } => {
-                let parent_call = stack.last().map_or(CallNumber::ROOT, |f| f.call);
-                flush(&mut events, stack);
-                events.push_call(parent_call, call, ctx);
-                stack.push(SimFrame {
-                    ctx,
-                    call,
-                    pending: 0,
-                });
-            }
-            SeqOp::Return => {
-                flush(&mut events, stack);
-                stack.pop();
-            }
-            SeqOp::Flush => flush(&mut events, stack),
-            SeqOp::Switch { thread } => current = thread,
-            SeqOp::Ops { count } => {
-                if let Some(frame) = stack.last_mut() {
-                    frame.pending += count;
-                }
-            }
-            SeqOp::Read { idx } => {
-                if let Some(frame) = stack.last_mut() {
-                    frame.pending += 1;
-                }
-                if let Some(mut parts) = transfers.remove(&idx) {
-                    let to_call = stack.last().map_or(CallNumber::ROOT, |f| f.call);
-                    parts.sort_by_key(|&(part, _)| part);
-                    flush(&mut events, stack);
-                    for (_, segs) in parts {
-                        for (from_call, bytes) in segs {
-                            events.push_transfer(from_call, to_call, bytes);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    events
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sigil_trace::Timestamp;
+    use sigil_trace::{CallNumber, Timestamp};
 
     fn frag(ctx_reads: &[(usize, u64)], edges: &[(u32, u32, u64)]) -> ShardFragment {
         let mut comm = Vec::new();
@@ -1163,66 +1032,6 @@ mod tests {
         let a = frag(&[(0, 4)], &[(0, 1, 4)]);
         let merged = merge_fragments([ShardFragment::default(), a.clone()]);
         assert_eq!(merged, merge_fragments([a]));
-    }
-
-    #[test]
-    fn sequencer_reproduces_serial_emission_order() {
-        // call main(1) → 3 ops → read with an 8-byte transfer from root
-        // → 2 ops → return: the flush before the Transfer counts the 3
-        // ops plus the read's own op; the trailing Compute counts the 2
-        // ops after.
-        let seq = vec![
-            SeqOp::Call {
-                call: CallNumber::from_raw(1),
-                ctx: ContextId(1),
-            },
-            SeqOp::Ops { count: 3 },
-            SeqOp::Read { idx: 0 },
-            SeqOp::Ops { count: 2 },
-            SeqOp::Return,
-        ];
-        let mut transfers = TransferMap::new();
-        transfers.insert(0, vec![(0, vec![(CallNumber::ROOT, 8)])]);
-        let events = sequence_events(seq, &mut transfers);
-        use crate::events_out::EventRecord;
-        let records = events.records();
-        assert_eq!(records.len(), 4);
-        assert!(matches!(records[0], EventRecord::Call { .. }));
-        assert!(matches!(records[1], EventRecord::Compute { ops: 4, .. }));
-        assert!(
-            matches!(records[2], EventRecord::Transfer { bytes: 8, to_call, .. }
-                if to_call == CallNumber::from_raw(1))
-        );
-        assert!(matches!(records[3], EventRecord::Compute { ops: 2, .. }));
-    }
-
-    #[test]
-    fn sequencer_orders_straddling_parts_by_byte_order() {
-        // Two parts arriving out of order must splice back in part order
-        // and coalesce into one transfer record when the producer call
-        // matches.
-        let producer = CallNumber::from_raw(7);
-        let seq = vec![
-            SeqOp::Call {
-                call: CallNumber::from_raw(9),
-                ctx: ContextId(2),
-            },
-            SeqOp::Read { idx: 5 },
-            SeqOp::Return,
-        ];
-        let mut transfers = TransferMap::new();
-        transfers.insert(5, vec![(1, vec![(producer, 4)]), (0, vec![(producer, 12)])]);
-        let events = sequence_events(seq, &mut transfers);
-        use crate::events_out::EventRecord;
-        let transfer_bytes: Vec<u64> = events
-            .records()
-            .iter()
-            .filter_map(|r| match r {
-                EventRecord::Transfer { bytes, .. } => Some(*bytes),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(transfer_bytes, vec![16], "parts coalesce in byte order");
     }
 
     fn rec(write: bool, idx: u64, addr: Addr, len: u32, whole_read: bool) -> AccessRecord {

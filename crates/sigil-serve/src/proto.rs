@@ -302,7 +302,9 @@ pub fn encode_trace_records(records: &[TraceRecord]) -> Vec<u8> {
 
 /// Decodes a trace-session chunk payload of exactly `count` records.
 /// `base` is the connection offset of the payload's first byte, so
-/// errors locate the damage on the wire.
+/// errors locate the damage on the wire. Every record is at least one
+/// byte, so at most `payload.len()` records are reserved, whatever
+/// `count` claims.
 ///
 /// # Errors
 ///
@@ -313,7 +315,7 @@ pub fn decode_trace_records(
     count: u32,
     base: u64,
 ) -> Result<Vec<TraceRecord>, ProtoError> {
-    let mut out = Vec::with_capacity(count as usize);
+    let mut out = Vec::with_capacity((count as usize).min(payload.len()));
     let mut rest = payload;
     for i in 0..count {
         let at = base + (payload.len() - rest.len()) as u64;
@@ -630,6 +632,14 @@ mod tests {
         assert!(decode_trace_records(&payload, records.len() as u32 - 1, 0).is_err());
         assert!(
             decode_trace_records(&payload[..payload.len() - 1], records.len() as u32, 0).is_err()
+        );
+        // A count far beyond what the payload holds is a located error at
+        // the first missing record, not a reservation sized by the claim.
+        let one = encode_trace_records(&[TraceRecord::Event(RuntimeEvent::Return)]);
+        let err = decode_trace_records(&one, u32::MAX, 100).expect_err("one record");
+        assert!(
+            matches!(err, ProtoError::Format { offset: 101, .. }),
+            "{err}"
         );
     }
 

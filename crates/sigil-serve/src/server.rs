@@ -749,9 +749,11 @@ fn feed_chunk(
             } = folds.as_mut();
             let decoded = decode_chunk_payload(payload, records).map_err(|e| match e {
                 sigil_core::events_bin::BinError::Io(io) => ProtoError::Io(io),
-                sigil_core::events_bin::BinError::Format { message, .. } => {
-                    ProtoError::format(offset, message)
-                }
+                sigil_core::events_bin::BinError::Format {
+                    offset: at,
+                    message,
+                    ..
+                } => ProtoError::format(offset + at, message),
             })?;
             for record in &decoded {
                 if let Some(fold) = phases.as_mut() {

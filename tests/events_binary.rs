@@ -6,6 +6,7 @@
 //! * text → binary → text and binary → decode → binary are lossless
 //!   (byte-identical re-encodings),
 //! * the trailer index agrees with a full decode,
+//! * sharded (shards = 4) recording emits the serial event file exactly,
 //! * the streaming critical-path fold over binary chunks reproduces the
 //!   in-memory [`CriticalPath`] numbers exactly, and
 //! * the streaming CDFG fold reproduces the in-memory event CDFG —
@@ -124,6 +125,10 @@ fn sharded_event_recording_round_trips_and_matches() {
         let in_memory =
             CriticalPath::from_profile(&profile).unwrap_or_else(|e| panic!("{bench}: {e}"));
         let events = profile.events.as_ref().expect("events recorded");
+        assert!(
+            *events == event_file(bench, SigilConfig::default()),
+            "{bench}: shards=4 event file differs from the serial one"
+        );
         let bytes = encode_events_chunked(events, 127);
         let decoded = decode_events(&bytes).unwrap_or_else(|e| panic!("{bench}: {e}"));
         assert_eq!(&decoded, events, "{bench}: sharded events decode differs");

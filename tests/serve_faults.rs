@@ -17,7 +17,7 @@ use sigil_oracle::harness::{record_benchmark, record_program, TraceBundle};
 use sigil_oracle::serve_axis::{batch_outcome, diff_outcomes, online_outcome, serve_config};
 use sigil_serve::{
     encode_trace_records, Client, Frame, FrameKind, Listen, ServeConfig, Server, SessionSpec,
-    TraceRecord, WireError,
+    TraceRecord, WireError, FRAME_HEADER_LEN,
 };
 use sigil_trace::{MemAccess, OpClass, RuntimeEvent, SymbolTable};
 use sigil_vm::GenProgram;
@@ -107,6 +107,57 @@ fn bit_flipped_frame_gets_located_error() {
         &address,
         "after-flip",
         &record_program(&GenProgram::generate(3)),
+    );
+    drop(server);
+}
+
+/// A CHUNK frame whose record count (`aux`) claims `u32::MAX` records
+/// in a one-byte payload gets a located error on both session kinds —
+/// not a reservation sized by the claim — and the server keeps serving.
+#[test]
+fn oversized_record_count_gets_located_error() {
+    let server = Server::bind(Listen::parse("127.0.0.1:0"), ServeConfig::default())
+        .expect("bind fault server");
+    let address = server.address();
+
+    // The trace payload is one `Return` record and the events payload a
+    // `Call` tag with no fields: both run out of bytes at offset 1.
+    let cases = [
+        (SessionSpec::trace("liar-trace", serve_config()), 0x02),
+        (SessionSpec::events("liar-events", None), 0x00),
+    ];
+    for (spec, byte) in cases {
+        let mut stream = TcpStream::connect(&address).expect("raw connect");
+        let hello = hello_frame(&spec).encode();
+        stream.write_all(&hello).expect("send hello");
+        let chunk = Frame {
+            kind: FrameKind::Chunk,
+            aux: u32::MAX,
+            payload: vec![byte],
+        }
+        .encode();
+        stream.write_all(&chunk).expect("send lying chunk");
+
+        let error = read_error(&stream);
+        assert_eq!(
+            error.offset,
+            (hello.len() + FRAME_HEADER_LEN + 1) as u64,
+            "{}: error not located after the payload's one byte: {}",
+            spec.mode,
+            error.message
+        );
+        assert!(
+            error.message.contains("truncated"),
+            "{}: unexpected error message: {}",
+            spec.mode,
+            error.message
+        );
+    }
+
+    assert_session_conforms(
+        &address,
+        "after-liars",
+        &record_program(&GenProgram::generate(5)),
     );
     drop(server);
 }
