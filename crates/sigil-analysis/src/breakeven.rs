@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::inclusive::InclusiveCosts;
-
 /// Fixed SoC-bus model converting offloaded bytes into transfer cycles.
 ///
 /// The paper computes "the hardware offload time … as the time to
@@ -32,6 +30,17 @@ impl BusModel {
             return 0.0;
         }
         self.fixed_latency_cycles + bytes as f64 / self.bytes_per_cycle
+    }
+
+    /// Breakeven speedup (Eq. 1) of offloading a merged sub-tree that
+    /// takes `t_sw` cycles in software and moves `in_bytes` into and
+    /// `out_bytes` out of its box over this bus.
+    pub fn breakeven(&self, t_sw: u64, in_bytes: u64, out_bytes: u64) -> f64 {
+        breakeven_speedup(
+            t_sw as f64,
+            self.transfer_cycles(in_bytes),
+            self.transfer_cycles(out_bytes),
+        )
     }
 }
 
@@ -90,16 +99,6 @@ pub fn breakeven_speedup(t_sw: f64, t_comm_in: f64, t_comm_out: f64) -> f64 {
     } else {
         t_sw / (t_sw - comm)
     }
-}
-
-/// Breakeven speedup of a merged sub-tree under a bus model, with `t_sw`
-/// provided by the caller (estimated cycles of the sub-tree).
-pub fn breakeven_for(inclusive: &InclusiveCosts, t_sw_cycles: u64, bus: &BusModel) -> f64 {
-    breakeven_speedup(
-        t_sw_cycles as f64,
-        bus.transfer_cycles(inclusive.comm_in_unique),
-        bus.transfer_cycles(inclusive.comm_out_unique),
-    )
 }
 
 #[cfg(test)]
@@ -180,18 +179,13 @@ mod tests {
     }
 
     #[test]
-    fn breakeven_for_combines_bus_and_cycles() {
-        let inclusive = InclusiveCosts {
-            comm_in_unique: 80,
-            comm_out_unique: 0,
-            ..InclusiveCosts::default()
-        };
+    fn bus_breakeven_combines_transfers_and_cycles() {
         let bus = BusModel {
             bytes_per_cycle: 8.0,
             fixed_latency_cycles: 0.0,
         };
         // t_comm = 10 cycles, t_sw = 100 → 100/90.
-        let s = breakeven_for(&inclusive, 100, &bus);
+        let s = bus.breakeven(100, 80, 0);
         assert!((s - 100.0 / 90.0).abs() < 1e-12);
     }
 }

@@ -7,6 +7,8 @@ use sigil_callgrind::{ContextId, CostVec};
 use sigil_core::{CommEdge, CommStats, Profile};
 use sigil_trace::FunctionId;
 
+use crate::tree::{self, Tree};
+
 /// One CDFG node: a function context with its exclusive costs and
 /// communication totals.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -134,25 +136,21 @@ impl Cdfg {
     /// Whether `ancestor` is `ctx` itself or one of its calltree
     /// ancestors.
     pub fn is_in_subtree(&self, ctx: ContextId, ancestor: ContextId) -> bool {
-        let mut cursor = Some(ctx);
-        while let Some(c) = cursor {
-            if c == ancestor {
-                return true;
-            }
-            cursor = self.node(c).parent;
-        }
-        false
+        tree::ancestors(self, ctx).any(|c| c == ancestor)
+    }
+}
+
+impl Tree for Cdfg {
+    fn parent(&self, ctx: ContextId) -> Option<ContextId> {
+        self.nodes.get(ctx.index()).and_then(|n| n.parent)
     }
 
-    /// Depth of `ctx` (root = 0).
-    pub fn depth(&self, ctx: ContextId) -> usize {
-        let mut depth = 0;
-        let mut cursor = self.node(ctx).parent;
-        while let Some(c) = cursor {
-            depth += 1;
-            cursor = self.node(c).parent;
-        }
-        depth
+    fn children(&self, ctx: ContextId) -> &[ContextId] {
+        self.nodes.get(ctx.index()).map_or(&[], |n| &n.children)
+    }
+
+    fn len(&self) -> usize {
+        self.nodes.len()
     }
 }
 
@@ -209,8 +207,8 @@ mod tests {
         let b = cdfg.nodes().iter().find(|n| n.name == "b").unwrap().ctx;
         assert!(cdfg.is_in_subtree(c, main));
         assert!(!cdfg.is_in_subtree(b, c));
-        assert_eq!(cdfg.depth(c), 3);
-        assert_eq!(cdfg.depth(ContextId::ROOT), 0);
+        assert_eq!(tree::ancestors(&cdfg, c).count(), 4, "c, a, main, root");
+        assert_eq!(tree::ancestors(&cdfg, ContextId::ROOT).count(), 1);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use sigil_callgrind::{ContextId, CostVec};
 
 use crate::cdfg::Cdfg;
+use crate::tree;
 
 /// Costs of a node merged with its entire sub-tree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,51 +60,20 @@ pub fn inclusive_table(cdfg: &Cdfg) -> Vec<InclusiveCosts> {
         table[idx].costs = sum;
     }
 
-    // Communication: walk each edge's ancestor chains up to the LCA.
+    // Communication: charge each edge to every box it crosses.
     for edge in cdfg.data_edges() {
-        let lca = lowest_common_ancestor(cdfg, edge.producer, edge.consumer);
-        // Into: ancestors of consumer strictly below the LCA.
-        let mut cursor = Some(edge.consumer);
-        while let Some(c) = cursor {
-            if c == lca {
-                break;
+        tree::for_each_crossing(cdfg, edge.producer, edge.consumer, |ctx, into| {
+            let entry = &mut table[ctx.index()];
+            if into {
+                entry.comm_in_unique += edge.unique_bytes;
+                entry.comm_in_nonunique += edge.nonunique_bytes;
+            } else {
+                entry.comm_out_unique += edge.unique_bytes;
+                entry.comm_out_nonunique += edge.nonunique_bytes;
             }
-            table[c.index()].comm_in_unique += edge.unique_bytes;
-            table[c.index()].comm_in_nonunique += edge.nonunique_bytes;
-            cursor = cdfg.node(c).parent;
-        }
-        // Out of: ancestors of producer strictly below the LCA.
-        let mut cursor = Some(edge.producer);
-        while let Some(c) = cursor {
-            if c == lca {
-                break;
-            }
-            table[c.index()].comm_out_unique += edge.unique_bytes;
-            table[c.index()].comm_out_nonunique += edge.nonunique_bytes;
-            cursor = cdfg.node(c).parent;
-        }
+        });
     }
     table
-}
-
-/// Lowest common calltree ancestor of `a` and `b`.
-pub fn lowest_common_ancestor(cdfg: &Cdfg, a: ContextId, b: ContextId) -> ContextId {
-    let mut da = cdfg.depth(a);
-    let mut db = cdfg.depth(b);
-    let (mut a, mut b) = (a, b);
-    while da > db {
-        a = cdfg.node(a).parent.expect("deeper node has a parent");
-        da -= 1;
-    }
-    while db > da {
-        b = cdfg.node(b).parent.expect("deeper node has a parent");
-        db -= 1;
-    }
-    while a != b {
-        a = cdfg.node(a).parent.expect("nodes share the root");
-        b = cdfg.node(b).parent.expect("nodes share the root");
-    }
-    a
 }
 
 #[cfg(test)]
@@ -168,6 +138,16 @@ mod tests {
         let a = ctx_of(&cdfg, "A");
         // A self 10 + C 20 + D1 5 = 35 compute ops.
         assert_eq!(table[a.index()].costs.ops_total(), 35);
+        assert!(cdfg.node(a).costs.ops_total() < 35);
+        // main's sub-tree is the whole program: the root adds no cost of
+        // its own, and both sum every node's exclusive costs.
+        let mut total = CostVec::default();
+        for node in cdfg.nodes() {
+            total += node.costs;
+        }
+        let main = ctx_of(&cdfg, "main");
+        assert_eq!(table[main.index()].costs, total);
+        assert_eq!(table[ContextId::ROOT.index()].costs, total);
     }
 
     #[test]
@@ -196,17 +176,5 @@ mod tests {
         let root = &table[ContextId::ROOT.index()];
         assert_eq!(root.comm_in_unique, 0);
         assert_eq!(root.comm_out_unique, 0);
-    }
-
-    #[test]
-    fn lca_basics() {
-        let (cdfg, _) = toy();
-        let a = ctx_of(&cdfg, "A");
-        let b = ctx_of(&cdfg, "B");
-        let c = ctx_of(&cdfg, "C");
-        let main = ctx_of(&cdfg, "main");
-        assert_eq!(lowest_common_ancestor(&cdfg, a, b), main);
-        assert_eq!(lowest_common_ancestor(&cdfg, c, a), a);
-        assert_eq!(lowest_common_ancestor(&cdfg, c, c), c);
     }
 }

@@ -8,7 +8,13 @@
 //!    include\[s\] all of the functions in the sub-tree", trim the tree by
 //!    the *breakeven-speedup* heuristic
 //!    (`S_be = t_sw / (t_sw − (t_comm:ip + t_comm:op))`, Eq. 1), and rank
-//!    accelerator candidates (Figures 2 & 7, Tables II & III).
+//!    accelerator candidates (Figures 2 & 7, Tables II & III). The same
+//!    rule runs on the event-level CDFG ([`streaming::EventCdfg`]): both
+//!    graphs are views of one calltree, and a crate-private `tree` module
+//!    holds the one LCA, the one walk that charges an edge to every box
+//!    it crosses, and the one merge/trim recursion. Each caller keeps its
+//!    own value types and its own rule for which contexts may be
+//!    candidates.
 //! 2. **Data-reuse analysis** ([`reuse_analysis`]) — whole-program
 //!    reuse-count breakdowns and per-function lifetime histograms
 //!    (Figures 8–12).
@@ -54,6 +60,7 @@ pub mod reuse_analysis;
 pub mod scaling;
 pub mod schedule;
 pub mod streaming;
+mod tree;
 pub mod whatif;
 
 pub use breakeven::{breakeven_speedup, BusModel};

@@ -7,13 +7,16 @@
 //! optimized for maximum application coverage with useful functions and
 //! for minimal communication."
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 use sigil_callgrind::ContextId;
 use sigil_core::Profile;
 
-use crate::breakeven::{breakeven_for, BusModel};
+use crate::breakeven::BusModel;
 use crate::cdfg::Cdfg;
 use crate::inclusive::{inclusive_table, InclusiveCosts};
+use crate::tree;
 
 /// Tuning knobs for the trimming heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,60 +88,34 @@ impl PreparedCdfg {
         let inclusive = inclusive_table(&cdfg);
         PreparedCdfg { cdfg, inclusive }
     }
-}
 
-struct Trimmer<'a> {
-    cdfg: &'a Cdfg,
-    inclusive: &'a [InclusiveCosts],
-    breakevens: Vec<f64>,
-    cycles: Vec<u64>,
-    config: &'a PartitionConfig,
-}
-
-impl Trimmer<'_> {
-    /// Returns the selected leaves in `ctx`'s subtree and the minimum
-    /// breakeven among them (`f64::INFINITY` when nothing is selectable).
-    ///
-    /// `mergeable` is false for the program entry: the top-level driver
-    /// is never an accelerator candidate (the paper's candidates are
-    /// functions *inside* the application, never `main`). Opaque system
-    /// calls cannot be offloaded either.
-    fn trim(&self, ctx: ContextId, mergeable: bool, out: &mut Vec<ContextId>) -> f64 {
+    /// The candidate merging `ctx`'s whole sub-tree, or `None` when it
+    /// cannot be one: the root, an opaque system call, or a sub-tree under
+    /// the `min_cycles` noise floor. `total_cycles` is the whole program's.
+    fn candidate(
+        &self,
+        ctx: ContextId,
+        profile: &Profile,
+        config: &PartitionConfig,
+        total_cycles: u64,
+    ) -> Option<Candidate> {
         let node = self.cdfg.node(ctx);
-        let own = if mergeable
-            && node.func.is_some()
-            && !node.is_syscall
-            && self.cycles[ctx.index()] >= self.config.min_cycles
-        {
-            self.breakevens[ctx.index()]
-        } else {
-            f64::INFINITY
-        };
-
-        if node.children.is_empty() {
-            if own.is_finite() {
-                out.push(ctx);
-            }
-            return own;
+        let inc = &self.inclusive[ctx.index()];
+        let cycles = profile.callgrind.cycle_model.estimate(&inc.costs);
+        if node.func.is_none() || node.is_syscall || cycles < config.min_cycles {
+            return None;
         }
-
-        let mut child_leaves = Vec::new();
-        let mut best_child = f64::INFINITY;
-        for &child in &node.children {
-            best_child = best_child.min(self.trim(child, true, &mut child_leaves));
-        }
-
-        // Merge the whole sub-tree into `ctx` when that is at least as
-        // good (lower breakeven) as the best leaf found below — merging
-        // absorbs internal communication, so this naturally maximizes
-        // coverage while minimizing crossing traffic.
-        if own.is_finite() && own <= best_child {
-            out.push(ctx);
-            own
-        } else {
-            out.append(&mut child_leaves);
-            best_child
-        }
+        Some(Candidate {
+            ctx,
+            name: node.name.clone(),
+            breakeven: config
+                .bus
+                .breakeven(cycles, inc.comm_in_unique, inc.comm_out_unique),
+            inclusive_cycles: cycles,
+            coverage: cycles as f64 / total_cycles as f64,
+            comm_in_unique: inc.comm_in_unique,
+            comm_out_unique: inc.comm_out_unique,
+        })
     }
 }
 
@@ -173,45 +150,12 @@ pub fn trim_calltree_prepared(
     config: &PartitionConfig,
 ) -> TrimmedTree {
     let _span = sigil_obs::span("analysis:trim_calltree");
-    let PreparedCdfg { cdfg, inclusive } = prepared;
-    let model = profile.callgrind.cycle_model;
-    let cycles: Vec<u64> = inclusive.iter().map(|i| model.estimate(&i.costs)).collect();
-    let breakevens: Vec<f64> = inclusive
-        .iter()
-        .zip(&cycles)
-        .map(|(inc, &cyc)| breakeven_for(inc, cyc, &config.bus))
-        .collect();
-
-    let trimmer = Trimmer {
-        cdfg,
-        inclusive,
-        breakevens,
-        cycles,
-        config,
-    };
-    let mut selected = Vec::new();
-    // Expand from the root's children (the program entry): neither the
-    // root nor the entry function is a candidate.
-    for &child in &cdfg.node(ContextId::ROOT).children {
-        trimmer.trim(child, false, &mut selected);
-    }
-
     let total_cycles = profile.callgrind.total_cycles().max(1);
-    let mut leaves: Vec<Candidate> = selected
-        .into_iter()
-        .map(|ctx| {
-            let inc = &trimmer.inclusive[ctx.index()];
-            Candidate {
-                ctx,
-                name: cdfg.node(ctx).name.clone(),
-                breakeven: trimmer.breakevens[ctx.index()],
-                inclusive_cycles: trimmer.cycles[ctx.index()],
-                coverage: trimmer.cycles[ctx.index()] as f64 / total_cycles as f64,
-                comm_in_unique: inc.comm_in_unique,
-                comm_out_unique: inc.comm_out_unique,
-            }
-        })
-        .collect();
+    let candidate = |ctx| prepared.candidate(ctx, profile, config, total_cycles);
+    let selected = tree::trim(&prepared.cdfg, |ctx| {
+        candidate(ctx).map_or(f64::INFINITY, |c| c.breakeven)
+    });
+    let mut leaves: Vec<Candidate> = selected.into_iter().filter_map(candidate).collect();
     leaves.sort_by(|a, b| {
         a.breakeven
             .partial_cmp(&b.breakeven)
@@ -239,34 +183,21 @@ pub fn rank_functions_prepared(
     profile: &Profile,
     config: &PartitionConfig,
 ) -> Vec<Candidate> {
-    use std::collections::HashMap;
     let _span = sigil_obs::span("analysis:rank_functions");
-    let PreparedCdfg { cdfg, inclusive } = prepared;
-    let model = profile.callgrind.cycle_model;
     let total_cycles = profile.callgrind.total_cycles().max(1);
-
-    let mut best: HashMap<String, Candidate> = HashMap::new();
-    for node in cdfg.nodes() {
-        if node.func.is_none() || node.is_syscall || node.parent == Some(ContextId::ROOT) {
+    // Keyed by name in a BTreeMap so that rows with equal breakeven and
+    // cycles keep one order from run to run (the sort below is stable).
+    let mut best: BTreeMap<String, Candidate> = BTreeMap::new();
+    for node in prepared.cdfg.nodes() {
+        // Program entries are never candidates (see `tree::trim`).
+        if node.parent == Some(ContextId::ROOT) {
             continue;
         }
-        let inc = &inclusive[node.ctx.index()];
-        let cycles = model.estimate(&inc.costs);
-        if cycles < config.min_cycles {
+        let Some(candidate) = prepared
+            .candidate(node.ctx, profile, config, total_cycles)
+            .filter(|c| c.breakeven.is_finite())
+        else {
             continue;
-        }
-        let breakeven = breakeven_for(inc, cycles, &config.bus);
-        if !breakeven.is_finite() {
-            continue;
-        }
-        let candidate = Candidate {
-            ctx: node.ctx,
-            name: node.name.clone(),
-            breakeven,
-            inclusive_cycles: cycles,
-            coverage: cycles as f64 / total_cycles as f64,
-            comm_in_unique: inc.comm_in_unique,
-            comm_out_unique: inc.comm_out_unique,
         };
         best.entry(node.name.clone())
             .and_modify(|existing| {

@@ -31,8 +31,9 @@ use sigil_core::events_bin::{BinError, ChunkStream};
 use sigil_core::{EventRecord, PhaseBuilder, PhaseProfile};
 use sigil_trace::CallNumber;
 
-use crate::breakeven::{breakeven_speedup, BusModel};
+use crate::breakeven::BusModel;
 use crate::critical_path::{CommModel, CriticalPathError, DependencyGraph};
+use crate::tree::{self, Tree};
 
 /// A failure while streaming an analysis off a binary event file.
 #[derive(Debug)]
@@ -446,38 +447,6 @@ impl EventCdfg {
         self.nodes.is_empty()
     }
 
-    fn depth_capped(&self, ctx: ContextId) -> usize {
-        let mut depth = 0;
-        let mut cursor = self.nodes.get(&ctx).and_then(|n| n.parent);
-        while let Some(c) = cursor {
-            depth += 1;
-            if depth > self.nodes.len() {
-                break;
-            }
-            cursor = self.nodes.get(&c).and_then(|n| n.parent);
-        }
-        depth
-    }
-
-    fn lca(&self, a: ContextId, b: ContextId) -> Option<ContextId> {
-        let parent = |c: ContextId| self.nodes.get(&c).and_then(|n| n.parent);
-        let (mut a, mut b) = (a, b);
-        let (mut da, mut db) = (self.depth_capped(a), self.depth_capped(b));
-        while da > db {
-            a = parent(a)?;
-            da -= 1;
-        }
-        while db > da {
-            b = parent(b)?;
-            db -= 1;
-        }
-        while a != b {
-            a = parent(a)?;
-            b = parent(b)?;
-        }
-        Some(a)
-    }
-
     /// Inclusive quantities for every context: sub-tree ops plus the
     /// bytes crossing each merged box (edges internal to a box are
     /// discarded, exactly as [`crate::inclusive::inclusive_table`] does
@@ -489,71 +458,52 @@ impl EventCdfg {
             .map(|&ctx| (ctx, EventInclusive::default()))
             .collect();
         // Sub-tree ops: charge each node's exclusive ops to itself and
-        // every ancestor (walks capped against adversarial cycles).
+        // every ancestor.
         for node in self.nodes.values() {
-            let mut cursor = Some(node.ctx);
-            for _ in 0..=self.nodes.len() {
-                let Some(c) = cursor else { break };
+            for c in tree::ancestors(self, node.ctx) {
                 if let Some(entry) = table.get_mut(&c) {
                     entry.ops = entry.ops.saturating_add(node.ops);
                 }
-                cursor = self.nodes.get(&c).and_then(|n| n.parent);
             }
         }
-        // Crossing bytes: each edge crosses into the consumer's ancestors
-        // strictly below the LCA, and out of the producer's.
         for edge in &self.edges {
-            let lca = self.lca(edge.producer, edge.consumer);
-            let mut charge = |start: ContextId, into: bool| {
-                let mut cursor = Some(start);
-                for _ in 0..=self.nodes.len() {
-                    let Some(c) = cursor else { break };
-                    if Some(c) == lca {
-                        break;
-                    }
-                    if let Some(entry) = table.get_mut(&c) {
-                        if into {
-                            entry.in_bytes = entry.in_bytes.saturating_add(edge.bytes);
-                        } else {
-                            entry.out_bytes = entry.out_bytes.saturating_add(edge.bytes);
-                        }
-                    }
-                    cursor = self.nodes.get(&c).and_then(|n| n.parent);
+            tree::for_each_crossing(self, edge.producer, edge.consumer, |c, into| {
+                if let Some(entry) = table.get_mut(&c) {
+                    let side = if into {
+                        &mut entry.in_bytes
+                    } else {
+                        &mut entry.out_bytes
+                    };
+                    *side = side.saturating_add(edge.bytes);
                 }
-            };
-            charge(edge.consumer, true);
-            charge(edge.producer, false);
+            });
         }
         table
     }
 
     /// Trims the event-level tree into accelerator candidates with the
-    /// same merge heuristic as [`crate::partition::trim_calltree`]:
-    /// merge a sub-tree into its root when that root's breakeven (ops as
-    /// the cycle proxy) is at least as good as the best candidate below
-    /// it. The program entry (child of the root context) is never a
-    /// candidate; sub-trees under `min_ops` are noise-floored out.
+    /// same merge heuristic as [`crate::partition::trim_calltree`], ops
+    /// standing in for cycles. The program entry (child of the root
+    /// context) is never a candidate; sub-trees under `min_ops` are
+    /// noise-floored out.
     pub fn trim(&self, bus: &BusModel, min_ops: u64) -> Vec<EventCandidate> {
         let inclusive = self.inclusive();
-        let mut selected = Vec::new();
-        if let Some(root) = self.nodes.get(&ContextId::ROOT) {
-            for &entry in &root.children {
-                self.trim_rec(entry, false, bus, min_ops, &inclusive, &mut selected, 0);
-            }
-        }
-        let mut leaves: Vec<EventCandidate> = selected
-            .into_iter()
-            .filter_map(|ctx| {
-                let inc = inclusive.get(&ctx)?;
-                Some(EventCandidate {
-                    ctx,
-                    breakeven: self.breakeven_of(inc, bus),
-                    inclusive_ops: inc.ops,
-                    in_bytes: inc.in_bytes,
-                    out_bytes: inc.out_bytes,
-                })
+        let candidate = |ctx: ContextId| {
+            let inc = inclusive
+                .get(&ctx)
+                .filter(|inc| inc.ops >= min_ops.max(1))?;
+            Some(EventCandidate {
+                ctx,
+                breakeven: bus.breakeven(inc.ops, inc.in_bytes, inc.out_bytes),
+                inclusive_ops: inc.ops,
+                in_bytes: inc.in_bytes,
+                out_bytes: inc.out_bytes,
             })
-            .collect();
+        };
+        let selected = tree::trim(self, |ctx| {
+            candidate(ctx).map_or(f64::INFINITY, |c| c.breakeven)
+        });
+        let mut leaves: Vec<EventCandidate> = selected.into_iter().filter_map(candidate).collect();
         leaves.sort_by(|a, b| {
             a.breakeven
                 .partial_cmp(&b.breakeven)
@@ -563,64 +513,19 @@ impl EventCdfg {
         });
         leaves
     }
+}
 
-    fn breakeven_of(&self, inc: &EventInclusive, bus: &BusModel) -> f64 {
-        breakeven_speedup(
-            inc.ops as f64,
-            bus.transfer_cycles(inc.in_bytes),
-            bus.transfer_cycles(inc.out_bytes),
-        )
+impl Tree for EventCdfg {
+    fn parent(&self, ctx: ContextId) -> Option<ContextId> {
+        self.nodes.get(&ctx).and_then(|n| n.parent)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn trim_rec(
-        &self,
-        ctx: ContextId,
-        mergeable: bool,
-        bus: &BusModel,
-        min_ops: u64,
-        inclusive: &BTreeMap<ContextId, EventInclusive>,
-        out: &mut Vec<ContextId>,
-        depth: usize,
-    ) -> f64 {
-        if depth > self.nodes.len() {
-            return f64::INFINITY; // adversarial cycle guard
-        }
-        let Some(node) = self.nodes.get(&ctx) else {
-            return f64::INFINITY;
-        };
-        let inc = inclusive.get(&ctx).copied().unwrap_or_default();
-        let own = if mergeable && inc.ops >= min_ops.max(1) {
-            self.breakeven_of(&inc, bus)
-        } else {
-            f64::INFINITY
-        };
-        if node.children.is_empty() {
-            if own.is_finite() {
-                out.push(ctx);
-            }
-            return own;
-        }
-        let mut child_leaves = Vec::new();
-        let mut best_child = f64::INFINITY;
-        for &child in &node.children {
-            best_child = best_child.min(self.trim_rec(
-                child,
-                true,
-                bus,
-                min_ops,
-                inclusive,
-                &mut child_leaves,
-                depth + 1,
-            ));
-        }
-        if own.is_finite() && own <= best_child {
-            out.push(ctx);
-            own
-        } else {
-            out.append(&mut child_leaves);
-            best_child
-        }
+    fn children(&self, ctx: ContextId) -> &[ContextId] {
+        self.nodes.get(&ctx).map_or(&[], |n| &n.children)
+    }
+
+    fn len(&self) -> usize {
+        self.nodes.len()
     }
 }
 

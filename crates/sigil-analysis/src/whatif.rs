@@ -166,7 +166,6 @@ pub fn estimate_offload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breakeven::breakeven_for;
     use sigil_core::{SigilConfig, SigilProfiler};
     use sigil_trace::{Engine, OpClass};
 
@@ -225,11 +224,9 @@ mod tests {
         let bus = BusModel::soc_default();
         let cdfg = Cdfg::from_profile(&profile);
         let inclusive = inclusive_table(&cdfg);
-        let cycles = profile
-            .callgrind
-            .cycle_model
-            .estimate(&inclusive[ctx.index()].costs);
-        let breakeven = breakeven_for(&inclusive[ctx.index()], cycles, &bus);
+        let inc = &inclusive[ctx.index()];
+        let cycles = profile.callgrind.cycle_model.estimate(&inc.costs);
+        let breakeven = bus.breakeven(cycles, inc.comm_in_unique, inc.comm_out_unique);
         let est = estimate_offload(
             &profile,
             &[OffloadScenario {

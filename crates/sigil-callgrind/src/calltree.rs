@@ -233,18 +233,6 @@ impl CallTree {
             parts.join("->")
         }
     }
-
-    /// Sums exclusive costs over the entire sub-tree rooted at `ctx`
-    /// (the paper's *inclusive* cost of computation for a merged node).
-    pub fn inclusive_costs(&self, ctx: ContextId) -> CostVec {
-        let mut total = self.node(ctx).costs;
-        let mut work: Vec<ContextId> = self.node(ctx).children.clone();
-        while let Some(c) = work.pop() {
-            total += self.node(c).costs;
-            work.extend(self.node(c).children.iter().copied());
-        }
-        total
-    }
 }
 
 /// Equality compares the persistent tree only — cursor state (stack,
@@ -325,22 +313,6 @@ mod tests {
         tree.leave();
         assert_eq!(tree.node(a).costs.ir, 6);
         assert_eq!(tree.node(b).costs.ir, 7);
-    }
-
-    #[test]
-    fn inclusive_costs_sum_subtree() {
-        let mut tree = CallTree::new();
-        let a = tree.enter(fid(0));
-        tree.current_costs_mut().ir += 1;
-        tree.enter(fid(1));
-        tree.current_costs_mut().ir += 10;
-        tree.enter(fid(2));
-        tree.current_costs_mut().ir += 100;
-        tree.leave();
-        tree.leave();
-        tree.leave();
-        assert_eq!(tree.inclusive_costs(a).ir, 111);
-        assert_eq!(tree.inclusive_costs(ContextId::ROOT).ir, 111);
     }
 
     #[test]

@@ -225,12 +225,6 @@ impl CallgrindProfile {
     pub fn context_cycles(&self, ctx: ContextId) -> u64 {
         self.cycle_model.estimate(&self.tree.node(ctx).costs)
     }
-
-    /// Estimated cycles for a context's whole sub-tree — the `t_sw`
-    /// input of the paper's breakeven-speedup metric.
-    pub fn inclusive_cycles(&self, ctx: ContextId) -> u64 {
-        self.cycle_model.estimate(&self.tree.inclusive_costs(ctx))
-    }
 }
 
 #[cfg(test)]
@@ -288,25 +282,6 @@ mod tests {
         let profile = profile_toy();
         let total = profile.total_costs();
         assert!(profile.total_cycles() > total.ir);
-    }
-
-    #[test]
-    fn inclusive_cycles_cover_subtree() {
-        let profile = profile_toy();
-        let (main_ctx, _) = profile
-            .tree
-            .iter()
-            .find(|(_, n)| {
-                n.func
-                    .is_some_and(|f| profile.symbols.get_name(f) == Some("main"))
-            })
-            .expect("main context");
-        assert_eq!(
-            profile.inclusive_cycles(main_ctx),
-            profile.total_cycles(),
-            "main's sub-tree is the whole program"
-        );
-        assert!(profile.context_cycles(main_ctx) < profile.inclusive_cycles(main_ctx));
     }
 
     #[test]

@@ -82,7 +82,29 @@ pub fn write_chrome_trace(path: impl AsRef<Path>) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use serde::Deserialize;
+
+    #[derive(Deserialize)]
+    #[allow(non_snake_case)]
+    struct Trace {
+        traceEvents: Vec<Event>,
+    }
+
+    /// A thread-name ("M") or complete ("X") event; `ts`, `dur` and
+    /// `args.depth` appear on "X" events only.
+    #[derive(Deserialize)]
+    struct Event {
+        name: String,
+        ph: String,
+        ts: Option<u64>,
+        dur: Option<u64>,
+        args: Args,
+    }
+
+    #[derive(Deserialize)]
+    struct Args {
+        depth: Option<u64>,
+    }
 
     fn record(name: &str, tid: u64, depth: usize, start_us: u64, dur_us: u64) -> SpanRecord {
         SpanRecord {
@@ -96,8 +118,8 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid_json() {
-        let doc = json::parse(&chrome_trace_from(&[])).expect("valid JSON");
-        assert_eq!(doc.get("traceEvents").unwrap().as_array(), Some(&[][..]));
+        let doc: Trace = serde_json::from_str(&chrome_trace_from(&[])).expect("valid JSON");
+        assert!(doc.traceEvents.is_empty());
     }
 
     #[test]
@@ -107,35 +129,17 @@ mod tests {
             record("in\"ner", 0, 1, 20, 30),
             record("worker", 1, 0, 15, 40),
         ];
-        let text = chrome_trace_from(&spans);
-        let doc = json::parse(&text).expect("valid JSON");
-        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let doc: Trace = serde_json::from_str(&chrome_trace_from(&spans)).expect("valid JSON");
+        let events = doc.traceEvents;
         // 2 thread metadata events + 3 span events.
         assert_eq!(events.len(), 5);
-        let metadata: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("ph").unwrap().as_str() == Some("M"))
-            .collect();
-        assert_eq!(metadata.len(), 2);
-        let complete: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("ph").unwrap().as_str() == Some("X"))
-            .collect();
+        assert_eq!(events.iter().filter(|e| e.ph == "M").count(), 2);
+        let complete: Vec<_> = events.iter().filter(|e| e.ph == "X").collect();
         assert_eq!(complete.len(), 3);
         for event in &complete {
-            assert!(event.get("ts").unwrap().as_u64().is_some());
-            assert!(event.get("dur").unwrap().as_u64().is_some());
-            assert!(event.get("name").unwrap().as_str().is_some());
+            assert!(event.ts.is_some() && event.dur.is_some());
         }
-        assert_eq!(complete[1].get("name").unwrap().as_str(), Some("in\"ner"));
-        assert_eq!(
-            complete[1]
-                .get("args")
-                .unwrap()
-                .get("depth")
-                .unwrap()
-                .as_u64(),
-            Some(1)
-        );
+        assert_eq!(complete[1].name, "in\"ner");
+        assert_eq!(complete[1].args.depth, Some(1));
     }
 }

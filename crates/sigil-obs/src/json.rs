@@ -1,113 +1,8 @@
-//! Minimal JSON reading and string escaping.
-//!
-//! The exporters in this crate write JSON by hand (the crate has no
-//! dependencies); this module supplies the escaping they need plus a
-//! small recursive-descent parser used to *validate* emitted files —
-//! tests and tools parse a trace or metrics snapshot back and inspect
-//! it structurally instead of grepping text.
+//! JSON string escaping for the hand-written exporters in this crate
+//! (the crate has no dependencies). Tests parse the exported files back
+//! with `serde_json` and inspect them structurally.
 
 use std::fmt;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (kept as `f64`, like browsers do).
-    Number(f64),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object, in source order.
-    Object(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Member of an object by key, if this is an object containing it.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The members, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(members) => Some(members),
-            _ => None,
-        }
-    }
-
-    /// The string contents, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The number as a non-negative integer, if it is one exactly.
-    pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
-    }
-}
-
-/// Error from [`parse`]: byte position and description.
-#[derive(Debug, Clone)]
-pub struct ParseError {
-    /// Byte offset of the failure.
-    pub pos: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.msg, self.pos)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parses one complete JSON document.
-///
-/// # Errors
-///
-/// Returns [`ParseError`] on malformed input or trailing characters.
-pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(value)
-}
 
 /// Appends `s` to `out` as a JSON string literal (with quotes).
 pub fn escape_into(out: &mut String, s: &str) {
@@ -128,222 +23,16 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError {
-            pos: self.pos,
-            msg: msg.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{}`", byte as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected `{word}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, ParseError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.err(format!("unexpected `{}`", other as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            members.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(members));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed by our own
-                            // emitters; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("bad UTF-8"))?;
-                    let c = text.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err(format!("bad number `{text}`")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_scalars_arrays_objects() {
-        assert_eq!(parse("null").unwrap(), Value::Null);
-        assert_eq!(parse(" true ").unwrap(), Value::Bool(true));
-        assert_eq!(parse("-1.5e2").unwrap(), Value::Number(-150.0));
-        assert_eq!(
-            parse("\"a\\nb\"").unwrap(),
-            Value::String("a\nb".to_owned())
-        );
-        let v = parse(r#"{"xs": [1, 2, {"k": "v"}], "empty": {}}"#).unwrap();
-        let xs = v.get("xs").unwrap().as_array().unwrap();
-        assert_eq!(xs.len(), 3);
-        assert_eq!(xs[2].get("k").unwrap().as_str(), Some("v"));
-        assert_eq!(v.get("empty").unwrap().as_object(), Some(&[][..]));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        assert!(parse("").is_err());
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{\"a\" 1}").is_err());
-        assert!(parse("1 2").is_err());
-        assert!(parse("\"unterminated").is_err());
-    }
 
     #[test]
     fn escape_round_trips() {
         let nasty = "a\"b\\c\nd\te\u{1}f";
         let mut out = String::new();
         escape_into(&mut out, nasty);
-        assert_eq!(parse(&out).unwrap(), Value::String(nasty.to_owned()));
-    }
-
-    #[test]
-    fn as_u64_accepts_only_exact_integers() {
-        assert_eq!(parse("7").unwrap().as_u64(), Some(7));
-        assert_eq!(parse("7.5").unwrap().as_u64(), None);
-        assert_eq!(parse("-7").unwrap().as_u64(), None);
+        let parsed: String = serde_json::from_str(&out).expect("escaped string is valid JSON");
+        assert_eq!(parsed, nasty);
     }
 }

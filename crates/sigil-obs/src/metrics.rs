@@ -382,7 +382,24 @@ pub fn clear() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use serde::Deserialize;
+
+    #[derive(Deserialize)]
+    struct Snapshot {
+        counters: BTreeMap<String, u64>,
+        gauges: BTreeMap<String, Option<f64>>,
+        histograms: BTreeMap<String, Hist>,
+    }
+
+    #[derive(Deserialize)]
+    struct Hist {
+        counts: Vec<u64>,
+        total: u64,
+    }
+
+    fn parse(text: &str) -> Snapshot {
+        serde_json::from_str(text).expect("snapshot is valid JSON")
+    }
 
     #[test]
     fn disabled_registry_stays_empty() {
@@ -479,26 +496,16 @@ mod tests {
         counter("a\"quoted\"").add(2);
         gauge("g").set(2.5);
         histogram("h", &[1]).observe(7);
-        let text = snapshot_json();
-        let doc = json::parse(&text).expect("snapshot is valid JSON");
-        assert_eq!(
-            doc.get("counters")
-                .unwrap()
-                .get("a\"quoted\"")
-                .unwrap()
-                .as_u64(),
-            Some(2)
-        );
-        assert_eq!(
-            doc.get("gauges").unwrap().get("g").unwrap().as_f64(),
-            Some(2.5)
-        );
-        let h = doc.get("histograms").unwrap().get("h").unwrap();
-        assert_eq!(h.get("total").unwrap().as_u64(), Some(1));
-        assert_eq!(h.get("counts").unwrap().as_array().unwrap().len(), 2);
+        let doc = parse(&snapshot_json());
+        assert_eq!(doc.counters["a\"quoted\""], 2);
+        assert_eq!(doc.gauges["g"], Some(2.5));
+        let h = &doc.histograms["h"];
+        assert_eq!(h.total, 1);
+        assert_eq!(h.counts.len(), 2);
         crate::set_enabled(false);
         clear();
-        let empty = json::parse(&snapshot_json()).expect("empty snapshot is valid JSON");
-        assert_eq!(empty.get("counters").unwrap().as_object(), Some(&[][..]));
+        let empty = parse(&snapshot_json());
+        assert!(empty.counters.is_empty() && empty.gauges.is_empty());
+        assert!(empty.histograms.is_empty());
     }
 }

@@ -146,7 +146,18 @@ fn delta_line(seq: u64, epoch: &Instant, last_counters: &mut BTreeMap<String, u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use serde::Deserialize;
+
+    #[derive(Deserialize)]
+    struct Line {
+        seq: u64,
+        counters: BTreeMap<String, u64>,
+        gauges: BTreeMap<String, Option<f64>>,
+    }
+
+    fn parse(line: &str) -> Line {
+        serde_json::from_str(line).expect("every line is valid JSON")
+    }
 
     #[test]
     fn delta_lines_report_increases_only() {
@@ -158,28 +169,18 @@ mod tests {
         let epoch = Instant::now();
         let mut last = BTreeMap::new();
 
-        let line = delta_line(1, &epoch, &mut last);
-        let doc = json::parse(&line).expect("line 1 is valid JSON");
-        assert_eq!(
-            doc.get("counters").unwrap().get("work").unwrap().as_u64(),
-            Some(5)
-        );
-        assert_eq!(
-            doc.get("gauges").unwrap().get("rate").unwrap().as_f64(),
-            Some(0.5)
-        );
+        let line = parse(&delta_line(1, &epoch, &mut last));
+        assert_eq!(line.counters["work"], 5);
+        assert_eq!(line.gauges["rate"], Some(0.5));
 
         // Nothing moved: the counters object is empty, gauges persist.
-        let line = json::parse(&delta_line(2, &epoch, &mut last)).expect("line 2");
-        assert_eq!(line.get("counters").unwrap().as_object(), Some(&[][..]));
-        assert_eq!(line.get("seq").unwrap().as_u64(), Some(2));
+        let line = parse(&delta_line(2, &epoch, &mut last));
+        assert!(line.counters.is_empty());
+        assert_eq!(line.seq, 2);
 
         crate::metrics::counter("work").add(3);
-        let line = json::parse(&delta_line(3, &epoch, &mut last)).expect("line 3");
-        assert_eq!(
-            line.get("counters").unwrap().get("work").unwrap().as_u64(),
-            Some(3)
-        );
+        let line = parse(&delta_line(3, &epoch, &mut last));
+        assert_eq!(line.counters["work"], 3);
         crate::set_enabled(false);
         crate::metrics::clear();
     }
@@ -201,16 +202,9 @@ mod tests {
         assert!(lines.len() >= 2, "expected >=2 snapshots, got {lines:?}");
         let mut saw_delta = false;
         for (i, line) in lines.iter().enumerate() {
-            let doc = json::parse(line).expect("every line is valid JSON");
-            assert_eq!(doc.get("seq").unwrap().as_u64(), Some(i as u64 + 1));
-            if doc
-                .get("counters")
-                .unwrap()
-                .get("events")
-                .is_some_and(|v| v.as_u64() == Some(7))
-            {
-                saw_delta = true;
-            }
+            let line = parse(line);
+            assert_eq!(line.seq, i as u64 + 1);
+            saw_delta |= line.counters.get("events") == Some(&7);
         }
         assert!(saw_delta, "some line carries the counter delta: {text}");
         let _ = std::fs::remove_file(&path);

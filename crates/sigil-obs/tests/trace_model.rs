@@ -6,7 +6,24 @@
 //! between the tests below — they serialize on [`obs_lock`].
 
 use proptest::prelude::*;
-use sigil_obs::{json, span};
+use serde::Deserialize;
+use sigil_obs::span;
+
+#[derive(Deserialize)]
+#[allow(non_snake_case)]
+struct Trace {
+    traceEvents: Vec<Event>,
+}
+
+/// A thread-name ("M") or complete ("X") event; `ts` and `dur` appear on
+/// "X" events only.
+#[derive(Deserialize)]
+struct Event {
+    ph: String,
+    tid: u64,
+    ts: Option<u64>,
+    dur: Option<u64>,
+}
 
 fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -108,33 +125,17 @@ proptest! {
 
         let text = sigil_obs::export_chrome_trace();
         span::clear();
-        let doc = json::parse(&text).expect("chrome trace parses as JSON");
-        let events = doc
-            .get("traceEvents")
-            .and_then(json::Value::as_array)
-            .expect("traceEvents array");
-        let complete: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(json::Value::as_str) == Some("X"))
-            .collect();
+        let doc: Trace = serde_json::from_str(&text).expect("chrome trace parses as JSON");
+        let events = doc.traceEvents;
+        let complete: Vec<_> = events.iter().filter(|e| e.ph == "X").collect();
         prop_assert_eq!(complete.len(), expected.len());
-        for event in complete {
-            prop_assert!(event.get("name").and_then(json::Value::as_str).is_some());
-            prop_assert!(event.get("ts").and_then(json::Value::as_u64).is_some());
-            prop_assert!(event.get("dur").and_then(json::Value::as_u64).is_some());
-            prop_assert!(event.get("tid").and_then(json::Value::as_u64).is_some());
+        for event in &complete {
+            prop_assert!(event.ts.is_some() && event.dur.is_some());
         }
         // Every X event's tid is introduced by an M thread-name event.
-        let named_tids: Vec<u64> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(json::Value::as_str) == Some("M"))
-            .filter_map(|e| e.get("tid").and_then(json::Value::as_u64))
-            .collect();
-        for event in events {
-            if event.get("ph").and_then(json::Value::as_str) == Some("X") {
-                let tid = event.get("tid").and_then(json::Value::as_u64).unwrap();
-                prop_assert!(named_tids.contains(&tid));
-            }
+        let named_tids: Vec<u64> = events.iter().filter(|e| e.ph == "M").map(|e| e.tid).collect();
+        for event in complete {
+            prop_assert!(named_tids.contains(&event.tid));
         }
     }
 }

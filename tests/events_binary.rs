@@ -10,7 +10,8 @@
 //! * the streaming critical-path fold over binary chunks reproduces the
 //!   in-memory [`CriticalPath`] numbers exactly, and
 //! * the streaming CDFG fold reproduces the in-memory event CDFG —
-//!   nodes, edges and inclusive costs — exactly.
+//!   nodes, edges and inclusive costs — exactly, and every event-CDFG
+//!   node has the same parent as in the profile's calltree.
 
 use sigil::analysis::critical_path::{CommModel, CriticalPath};
 use sigil::analysis::streaming::{critical_path_from_bin, event_cdfg_from_bin, EventCdfg};
@@ -105,16 +106,29 @@ fn streaming_critical_path_matches_in_memory_for_every_benchmark() {
 #[test]
 fn streaming_cdfg_matches_in_memory_for_every_benchmark() {
     for bench in Benchmark::ALL {
-        let events = event_file(bench, SigilConfig::default());
-        let in_memory = EventCdfg::from_records(events.records());
-        let bytes = encode_events_chunked(&events, 313);
-        let streamed = event_cdfg_from_bin(&bytes[..]).unwrap_or_else(|e| panic!("{bench}: {e}"));
-        assert_eq!(streamed, in_memory, "{bench}: streamed CDFG differs");
-        assert_eq!(
-            streamed.inclusive(),
-            in_memory.inclusive(),
-            "{bench}: inclusive costs differ"
-        );
+        for shards in [1, 4] {
+            let profile = events_profile(bench, SigilConfig::default().with_shards(shards));
+            let events = profile.events.as_ref().expect("events recorded");
+            let in_memory = EventCdfg::from_records(events.records());
+            let bytes = encode_events_chunked(events, 313);
+            let streamed =
+                event_cdfg_from_bin(&bytes[..]).unwrap_or_else(|e| panic!("{bench}: {e}"));
+            assert_eq!(streamed, in_memory, "{bench}: streamed CDFG differs");
+            assert_eq!(
+                streamed.inclusive(),
+                in_memory.inclusive(),
+                "{bench}: inclusive costs differ"
+            );
+            // The event CDFG is the profile's calltree: same parents.
+            for node in in_memory.nodes() {
+                assert_eq!(
+                    node.parent,
+                    profile.callgrind.tree.node(node.ctx).parent,
+                    "{bench} shards={shards}: parent of {:?}",
+                    node.ctx
+                );
+            }
+        }
     }
 }
 

@@ -8,9 +8,33 @@
 
 use sigil::core::{SigilConfig, SigilProfiler};
 use sigil::obs::metrics::MetricValue;
-use sigil::obs::{json, metrics, span};
+use std::collections::BTreeMap;
+
+use serde::Deserialize;
+use sigil::obs::{metrics, span};
 use sigil::trace::Engine;
 use sigil::workloads::{Benchmark, InputSize};
+
+#[derive(Deserialize)]
+#[allow(non_snake_case)]
+struct Trace {
+    traceEvents: Vec<TraceEvent>,
+}
+
+#[derive(Deserialize)]
+struct TraceEvent {
+    ph: String,
+}
+
+#[derive(Deserialize)]
+struct Snapshot {
+    counters: BTreeMap<String, u64>,
+}
+
+#[derive(Deserialize)]
+struct Series {
+    counters: BTreeMap<String, Vec<(u64, u64)>>,
+}
 
 fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -89,17 +113,15 @@ fn enabled_observability_captures_phases_and_shadow_counters() {
     );
 
     // Both export formats are valid JSON.
-    let trace_doc = json::parse(&sigil::obs::export_chrome_trace()).expect("trace JSON");
-    let events = trace_doc
-        .get("traceEvents")
-        .and_then(json::Value::as_array)
-        .expect("traceEvents array");
-    assert!(events.len() >= 4, "root + three phases (+ thread names)");
-    let metrics_doc = json::parse(&metrics::snapshot_json()).expect("metrics JSON");
-    assert!(metrics_doc
-        .get("counters")
-        .and_then(|c| c.get("shadow.accesses"))
-        .is_some());
+    let trace: Trace =
+        serde_json::from_str(&sigil::obs::export_chrome_trace()).expect("trace JSON");
+    assert!(
+        trace.traceEvents.len() >= 4,
+        "root + three phases (+ thread names)"
+    );
+    assert!(trace.traceEvents.iter().any(|e| e.ph == "X"));
+    let snapshot: Snapshot = serde_json::from_str(&metrics::snapshot_json()).expect("metrics JSON");
+    assert!(snapshot.counters.contains_key("shadow.accesses"));
 
     span::clear();
     metrics::clear();
@@ -178,9 +200,13 @@ fn concurrent_writers_keep_snapshots_well_formed() {
     // Read concurrently with the writers: partial counts are fine, but
     // the exports must always parse and keys must stay sorted.
     for _ in 0..50 {
-        let doc = json::parse(&metrics::snapshot_json()).expect("metrics JSON mid-write");
-        assert!(doc.get("counters").is_some());
-        json::parse(&sigil::obs::timeseries::snapshot_json()).expect("timeseries JSON mid-write");
+        let doc: Snapshot =
+            serde_json::from_str(&metrics::snapshot_json()).expect("metrics JSON mid-write");
+        let shared = doc.counters.get("stress.shared");
+        assert!(shared.is_none_or(|&n| n <= WRITERS as u64 * ROUNDS));
+        let series: Series = serde_json::from_str(&sigil::obs::timeseries::snapshot_json())
+            .expect("timeseries JSON mid-write");
+        assert!(series.counters.keys().all(|k| k == "stress.ops"));
         let snap = metrics::snapshot();
         let keys: Vec<_> = snap.keys().collect();
         let mut sorted = keys.clone();
