@@ -89,9 +89,29 @@ impl PreparedCdfg {
         PreparedCdfg { cdfg, inclusive }
     }
 
-    /// The candidate merging `ctx`'s whole sub-tree, or `None` when it
-    /// cannot be one: the root, an opaque system call, or a sub-tree under
-    /// the `min_cycles` noise floor. `total_cycles` is the whole program's.
+    /// The estimated cycles and breakeven of merging `ctx`'s whole
+    /// sub-tree, or `None` when it cannot be a candidate: the root, an
+    /// opaque system call, or a sub-tree under the `min_cycles` noise floor.
+    fn breakeven(
+        &self,
+        ctx: ContextId,
+        profile: &Profile,
+        config: &PartitionConfig,
+    ) -> Option<(u64, f64)> {
+        let node = self.cdfg.node(ctx);
+        let inc = &self.inclusive[ctx.index()];
+        let cycles = profile.callgrind.cycle_model.estimate(&inc.costs);
+        if node.func.is_none() || node.is_syscall || cycles < config.min_cycles {
+            return None;
+        }
+        let breakeven = config
+            .bus
+            .breakeven(cycles, inc.comm_in_unique, inc.comm_out_unique);
+        Some((cycles, breakeven))
+    }
+
+    /// The candidate merging `ctx`'s whole sub-tree (see
+    /// [`PreparedCdfg::breakeven`]). `total_cycles` is the whole program's.
     fn candidate(
         &self,
         ctx: ContextId,
@@ -99,18 +119,12 @@ impl PreparedCdfg {
         config: &PartitionConfig,
         total_cycles: u64,
     ) -> Option<Candidate> {
-        let node = self.cdfg.node(ctx);
+        let (cycles, breakeven) = self.breakeven(ctx, profile, config)?;
         let inc = &self.inclusive[ctx.index()];
-        let cycles = profile.callgrind.cycle_model.estimate(&inc.costs);
-        if node.func.is_none() || node.is_syscall || cycles < config.min_cycles {
-            return None;
-        }
         Some(Candidate {
             ctx,
-            name: node.name.clone(),
-            breakeven: config
-                .bus
-                .breakeven(cycles, inc.comm_in_unique, inc.comm_out_unique),
+            name: self.cdfg.node(ctx).name.clone(),
+            breakeven,
             inclusive_cycles: cycles,
             coverage: cycles as f64 / total_cycles as f64,
             comm_in_unique: inc.comm_in_unique,
@@ -151,11 +165,15 @@ pub fn trim_calltree_prepared(
 ) -> TrimmedTree {
     let _span = sigil_obs::span("analysis:trim_calltree");
     let total_cycles = profile.callgrind.total_cycles().max(1);
-    let candidate = |ctx| prepared.candidate(ctx, profile, config, total_cycles);
     let selected = tree::trim(&prepared.cdfg, |ctx| {
-        candidate(ctx).map_or(f64::INFINITY, |c| c.breakeven)
+        prepared
+            .breakeven(ctx, profile, config)
+            .map_or(f64::INFINITY, |(_, breakeven)| breakeven)
     });
-    let mut leaves: Vec<Candidate> = selected.into_iter().filter_map(candidate).collect();
+    let mut leaves: Vec<Candidate> = selected
+        .into_iter()
+        .filter_map(|ctx| prepared.candidate(ctx, profile, config, total_cycles))
+        .collect();
     leaves.sort_by(|a, b| {
         a.breakeven
             .partial_cmp(&b.breakeven)

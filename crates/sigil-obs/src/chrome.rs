@@ -96,13 +96,16 @@ mod tests {
     struct Event {
         name: String,
         ph: String,
+        #[serde(default)]
         ts: Option<u64>,
+        #[serde(default)]
         dur: Option<u64>,
         args: Args,
     }
 
     #[derive(Deserialize)]
     struct Args {
+        #[serde(default)]
         depth: Option<u64>,
     }
 

@@ -19,9 +19,12 @@ struct Trace {
 /// "X" events only.
 #[derive(Deserialize)]
 struct Event {
+    name: String,
     ph: String,
     tid: u64,
+    #[serde(default)]
     ts: Option<u64>,
+    #[serde(default)]
     dur: Option<u64>,
 }
 
@@ -130,6 +133,7 @@ proptest! {
         let complete: Vec<_> = events.iter().filter(|e| e.ph == "X").collect();
         prop_assert_eq!(complete.len(), expected.len());
         for event in &complete {
+            prop_assert!(NAMES.contains(&event.name.as_str()));
             prop_assert!(event.ts.is_some() && event.dur.is_some());
         }
         // Every X event's tid is introduced by an M thread-name event.

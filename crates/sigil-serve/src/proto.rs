@@ -668,4 +668,22 @@ mod tests {
         assert_eq!(parsed.config().shards, 4);
         assert_eq!(parsed.mode, "trace");
     }
+
+    #[test]
+    fn hello_missing_an_optional_field_is_rejected() {
+        // Every field is required on the wire, `Option` ones included: a
+        // HELLO that leaves out `shadow_limit` must not open a session
+        // with an unbounded shadow.
+        let spec = SessionSpec::trace("t", SigilConfig::default().with_shadow_limit(8));
+        let json = String::from_utf8(to_json_payload(&spec)).expect("utf-8");
+        let json = json.replace("\"shadow_limit\":8,", "");
+        assert!(!json.contains("shadow_limit"), "{json}");
+        let err = from_json_payload::<SessionSpec>(json.as_bytes(), 7, "HELLO")
+            .expect_err("missing field must be rejected");
+        assert!(
+            matches!(&err, ProtoError::Format { offset: 7, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("shadow_limit"), "{err}");
+    }
 }
