@@ -121,18 +121,6 @@ impl Cdfg {
         self.nodes.len() <= 1
     }
 
-    /// Iterates the contexts of the subtree rooted at `ctx` (inclusive),
-    /// in depth-first order.
-    pub fn subtree(&self, ctx: ContextId) -> Vec<ContextId> {
-        let mut out = Vec::new();
-        let mut work = vec![ctx];
-        while let Some(c) = work.pop() {
-            out.push(c);
-            work.extend(self.node(c).children.iter().copied().rev());
-        }
-        out
-    }
-
     /// Whether `ancestor` is `ctx` itself or one of its calltree
     /// ancestors.
     pub fn is_in_subtree(&self, ctx: ContextId, ancestor: ContextId) -> bool {
@@ -182,21 +170,6 @@ mod tests {
         assert!(names.contains(&"<root>"));
         assert!(names.contains(&"main"));
         assert!(names.contains(&"c"));
-    }
-
-    #[test]
-    fn subtree_is_depth_first_and_inclusive() {
-        let cdfg = sample_cdfg();
-        let main = cdfg
-            .nodes()
-            .iter()
-            .find(|n| n.name == "main")
-            .expect("main");
-        let sub = cdfg.subtree(main.ctx);
-        assert_eq!(sub.len(), 4); // main, a, c, b
-        assert_eq!(sub[0], main.ctx);
-        let names: Vec<&str> = sub.iter().map(|&c| cdfg.node(c).name.as_str()).collect();
-        assert_eq!(names, vec!["main", "a", "c", "b"]);
     }
 
     #[test]

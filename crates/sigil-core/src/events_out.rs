@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use sigil_callgrind::ContextId;
 use sigil_trace::CallNumber;
 
-use crate::shard::TransferMap;
+use crate::kernel::Transfers;
 
 /// One record of the event file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -297,6 +297,40 @@ impl EventFile {
     }
 }
 
+/// One shard worker's transfer segments, in the order it applied its
+/// records: entry `(idx, part, end)` owns the segments from the previous
+/// entry's `end` up to its own, found by part `part` of access `idx`.
+///
+/// Invariant: a log is strictly increasing in `(idx, part)`. A worker
+/// applies its records in dispatch order — access by access, each
+/// access's parts in byte order — and a coalesced read train expands to
+/// `idx..idx+count` in order. [`Sequencer::finish`] merges the logs by
+/// cursor on the strength of it.
+#[derive(Debug, Default)]
+pub(crate) struct TransferLog {
+    segs: Transfers,
+    entries: Vec<(u64, u32, usize)>,
+}
+
+impl TransferLog {
+    /// Moves one kernel call's `transfers` (part `part` of access `idx`)
+    /// into the log, leaving the scratch empty for reuse; empty transfers
+    /// log nothing.
+    pub(crate) fn append(&mut self, idx: u64, part: u32, transfers: &mut Transfers) {
+        if transfers.is_empty() {
+            return;
+        }
+        debug_assert!(
+            self.entries
+                .last()
+                .is_none_or(|&(at, p, _)| (at, p) < (idx, part)),
+            "transfer log out of (idx, part) order"
+        );
+        self.segs.append(transfers);
+        self.entries.push((idx, part, self.segs.len()));
+    }
+}
+
 /// One event-emission step, in program order: the vocabulary the
 /// profiler front end speaks to the [`Sequencer`].
 #[derive(Debug, Clone, Copy)]
@@ -391,19 +425,43 @@ impl Sequencer {
     }
 
     /// The event file. A logged run is replayed first, splicing each
-    /// read's segments from `transfers` (keyed by access index) back in
-    /// byte order.
-    pub(crate) fn finish(mut self, mut transfers: TransferMap) -> EventFile {
+    /// read's parts from the workers' `logs` back in byte order; serial
+    /// replay passes no logs.
+    ///
+    /// Every log is sorted by `(idx, part)` and reads are logged in
+    /// increasing `idx`, so one cursor per log advances past the entries
+    /// of each read in turn. The few parts collected (at most one per
+    /// chunk run of the access) are ordered by `part`, so a straddling
+    /// access keeps byte order however its runs were spread over the
+    /// workers.
+    pub(crate) fn finish(mut self, logs: &[TransferLog]) -> EventFile {
+        let mut cursors = vec![0usize; logs.len()];
+        let mut parts: Vec<(u32, &[(CallNumber, u64)])> = Vec::new();
         for op in self.log.take().unwrap_or_default() {
-            match op {
-                SeqOp::Read { idx } => {
-                    let mut parts = transfers.remove(&idx).unwrap_or_default();
-                    parts.sort_by_key(|&(part, _)| part);
-                    self.read(parts.iter().flat_map(|(_, segs)| segs));
+            let SeqOp::Read { idx } = op else {
+                self.apply(op);
+                continue;
+            };
+            parts.clear();
+            for (log, cursor) in logs.iter().zip(&mut cursors) {
+                while let Some(&(at, part, end)) = log.entries.get(*cursor) {
+                    if at != idx {
+                        break;
+                    }
+                    let start = cursor.checked_sub(1).map_or(0, |c| log.entries[c].2);
+                    parts.push((part, &log.segs[start..end]));
+                    *cursor += 1;
                 }
-                op => self.apply(op),
             }
+            parts.sort_unstable_by_key(|&(part, _)| part);
+            self.read(parts.iter().flat_map(|&(_, segs)| segs));
         }
+        debug_assert!(
+            logs.iter()
+                .zip(&cursors)
+                .all(|(log, &cursor)| cursor == log.entries.len()),
+            "transfer log entries left unconsumed"
+        );
         self.events
     }
 
@@ -577,6 +635,30 @@ mod tests {
         SeqOp::Return,
     ];
 
+    /// A worker log holding `entries`, `(idx, part, segments)` each,
+    /// appended in order.
+    fn log_of(entries: Vec<(u64, u32, Transfers)>) -> TransferLog {
+        let mut log = TransferLog::default();
+        for (idx, part, mut segs) in entries {
+            log.append(idx, part, &mut segs);
+        }
+        log
+    }
+
+    /// The transfer records of `events`, as `(from, bytes)`.
+    fn transfers_of(events: &EventFile) -> Vec<(u64, u64)> {
+        events
+            .records()
+            .iter()
+            .filter_map(|r| match *r {
+                EventRecord::Transfer {
+                    from_call, bytes, ..
+                } => Some((from_call.as_raw(), bytes)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn sequencer_reproduces_serial_emission_order() {
         // The flush before the Transfer counts the 3 ops plus the read's
@@ -585,9 +667,7 @@ mod tests {
         for op in READ_IN_MAIN {
             logged.push(op);
         }
-        let mut transfers = TransferMap::new();
-        transfers.insert(0, vec![(0, vec![(CallNumber::ROOT, 8)])]);
-        let events = logged.finish(transfers);
+        let events = logged.finish(&[log_of(vec![(0, 0, vec![(CallNumber::ROOT, 8)])])]);
         let records = events.records();
         assert_eq!(records.len(), 4);
         assert!(matches!(records[0], EventRecord::Call { .. }));
@@ -607,34 +687,99 @@ mod tests {
                 op => live.push(op),
             }
         }
-        assert_eq!(live.finish(TransferMap::new()), events);
+        assert_eq!(live.finish(&[]), events);
     }
 
     #[test]
-    fn sequencer_orders_straddling_parts_by_byte_order() {
-        // Two parts arriving out of order must splice back in part order
-        // and coalesce into one transfer record when the producer call
-        // matches.
-        let producer = call(7);
+    fn sequencer_splices_parts_from_every_log_in_part_order() {
+        // Access 5 spans four chunk runs at two shards: parts 0 and 2 on
+        // one worker, 1 and 3 on the other. However the logs are handed
+        // over, the parts splice back in part (byte) order, and adjacent
+        // same-producer segments coalesce into one record.
+        let (p, q) = (call(7), call(8));
+        let finish = |logs: &[TransferLog]| {
+            let mut logged = Sequencer::new(true);
+            logged.push(SeqOp::Call {
+                call: call(9),
+                ctx: ContextId(2),
+            });
+            for idx in 4..7 {
+                logged.push(SeqOp::Read { idx });
+            }
+            logged.push(SeqOp::Return);
+            transfers_of(&logged.finish(logs))
+        };
+        let even = || {
+            log_of(vec![
+                (4, 0, vec![(q, 1)]),
+                (5, 0, vec![(p, 12)]),
+                (5, 2, vec![(q, 2)]),
+            ])
+        };
+        let odd = || {
+            log_of(vec![
+                (5, 1, vec![(p, 4)]),
+                (5, 3, vec![(q, 3), (p, 5)]),
+                (6, 0, vec![(p, 6)]),
+            ])
+        };
+        let expected = vec![(8, 1), (7, 16), (8, 5), (7, 5), (7, 6)];
+        assert_eq!(finish(&[even(), odd()]), expected);
+        assert_eq!(finish(&[odd(), even()]), expected);
+    }
+
+    #[test]
+    fn sequencer_read_without_entries_still_retires_its_op() {
+        // Reads 0 and 2 moved nothing; both still count toward the
+        // fragment flushed before read 1's transfer and the one after.
         let mut logged = Sequencer::new(true);
         logged.push(SeqOp::Call {
-            call: call(9),
-            ctx: ContextId(2),
+            call: call(1),
+            ctx: ContextId(1),
         });
-        logged.push(SeqOp::Read { idx: 5 });
+        for idx in 0..3 {
+            logged.push(SeqOp::Read { idx });
+        }
         logged.push(SeqOp::Return);
-        let mut transfers = TransferMap::new();
-        transfers.insert(5, vec![(1, vec![(producer, 4)]), (0, vec![(producer, 12)])]);
-        let events = logged.finish(transfers);
-        let transfer_bytes: Vec<u64> = events
-            .records()
-            .iter()
-            .filter_map(|r| match r {
-                EventRecord::Transfer { bytes, .. } => Some(*bytes),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(transfer_bytes, vec![16], "parts coalesce in byte order");
+        let events = logged.finish(&[
+            log_of(vec![(1, 0, vec![(CallNumber::ROOT, 4)])]),
+            log_of(vec![]),
+        ]);
+        assert_eq!(
+            events.records()[1..],
+            [
+                EventRecord::Compute {
+                    call: call(1),
+                    ctx: ContextId(1),
+                    ops: 2,
+                },
+                EventRecord::Transfer {
+                    from_call: CallNumber::ROOT,
+                    to_call: call(1),
+                    bytes: 4,
+                },
+                EventRecord::Compute {
+                    call: call(1),
+                    ctx: ContextId(1),
+                    ops: 1,
+                },
+            ]
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "left unconsumed")]
+    fn sequencer_catches_an_orphan_log_entry() {
+        // Access 3 was never logged as a read: its entry would be
+        // silently dropped, so finish must refuse it.
+        let mut logged = Sequencer::new(true);
+        logged.push(SeqOp::Read { idx: 1 });
+        logged.push(SeqOp::Read { idx: 5 });
+        let _ = logged.finish(&[log_of(vec![
+            (1, 0, vec![(call(2), 4)]),
+            (3, 0, vec![(call(2), 4)]),
+        ])]);
     }
 
     #[test]
@@ -663,7 +808,7 @@ mod tests {
         ] {
             live.push(op);
         }
-        let events = live.finish(TransferMap::new());
+        let events = live.finish(&[]);
         assert_eq!(
             events.records(),
             &[

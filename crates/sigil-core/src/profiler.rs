@@ -14,7 +14,7 @@ use crate::events_out::{SeqOp, Sequencer};
 use crate::kernel::{comm_entry, Accessor, Kernel, Transfers};
 use crate::phase::PhaseBuilder;
 use crate::profile::{ContextComm, Profile};
-use crate::shard::{ShardEngine, ShardFragment, TransferMap};
+use crate::shard::{ShardEngine, ShardFragment};
 use crate::stats::CommStats;
 
 #[derive(Debug, Clone, Copy)]
@@ -83,8 +83,10 @@ pub struct SigilProfiler {
     lines: Option<LineShadow>,
     clock: OpClock,
     call_counter: CallNumber,
-    /// Per-thread frame stacks; key is the raw thread id.
-    thread_frames: HashMap<u32, Vec<Frame>>,
+    /// The current thread's frame stack.
+    frames: Vec<Frame>,
+    /// Every other thread's frame stack, by raw thread id.
+    parked: HashMap<u32, Vec<Frame>>,
     current_thread: u32,
     /// Whole-access `bytes_read` / `bytes_written` per context; the
     /// per-byte classes are tallied by the kernel.
@@ -123,7 +125,8 @@ impl SigilProfiler {
             lines: config.line_size.map(LineShadow::new),
             clock: OpClock::new(),
             call_counter: CallNumber::ROOT,
-            thread_frames: HashMap::from([(0, Vec::with_capacity(64))]),
+            frames: Vec::with_capacity(64),
+            parked: HashMap::new(),
             current_thread: 0,
             comm: Vec::new(),
             sequencer: config.record_events.then(|| Sequencer::new(sharded)),
@@ -174,21 +177,21 @@ impl SigilProfiler {
         Some(phases.finish())
     }
 
-    fn frames(&self) -> Option<&Vec<Frame>> {
-        self.thread_frames.get(&self.current_thread)
-    }
-
-    fn frames_mut(&mut self) -> &mut Vec<Frame> {
-        self.thread_frames.entry(self.current_thread).or_default()
-    }
-
     fn current_frame(&self) -> Frame {
-        self.frames()
-            .and_then(|f| f.last().copied())
-            .unwrap_or(Frame {
-                ctx: ContextId::ROOT,
-                call: CallNumber::ROOT,
-            })
+        self.frames.last().copied().unwrap_or(Frame {
+            ctx: ContextId::ROOT,
+            call: CallNumber::ROOT,
+        })
+    }
+
+    /// Makes `thread`'s frame stack current, parking the outgoing one.
+    fn switch_frames(&mut self, thread: u32) {
+        if thread != self.current_thread {
+            let frames = self.parked.remove(&thread).unwrap_or_default();
+            let outgoing = std::mem::replace(&mut self.frames, frames);
+            self.parked.insert(self.current_thread, outgoing);
+            self.current_thread = thread;
+        }
     }
 
     fn sequence(&mut self, op: SeqOp) {
@@ -211,7 +214,7 @@ impl SigilProfiler {
         // The Call record itself retires one op and is always visible in
         // the event stream, so it always ticks the phase clock.
         self.phase_clock += 1;
-        self.frames_mut().push(Frame { ctx, call });
+        self.frames.push(Frame { ctx, call });
     }
 
     /// Ticks the phase clock by `count` retired ops. With no open frame
@@ -219,7 +222,7 @@ impl SigilProfiler {
     /// them, so the phase clock stays reconstructible from the event
     /// stream.
     fn tick(&mut self, count: u64) {
-        if self.frames().is_some_and(|frames| !frames.is_empty()) {
+        if !self.frames.is_empty() {
             self.phase_clock += count;
         }
     }
@@ -232,7 +235,7 @@ impl SigilProfiler {
 
     fn handle_leave(&mut self) {
         self.sequence(SeqOp::Return);
-        self.frames_mut().pop();
+        self.frames.pop();
     }
 
     /// One shadow access. The whole-access tallies (`bytes_read` /
@@ -318,7 +321,7 @@ impl SigilProfiler {
             Replay::InThread(kernel) => {
                 let fragment = kernel.finish();
                 merged.merge(&fragment);
-                (fragment.memory, TransferMap::new())
+                (fragment.memory, Vec::new())
             }
             Replay::Sharded(engine) => {
                 let finish = engine.finish();
@@ -328,7 +331,7 @@ impl SigilProfiler {
                 (finish.memory, finish.transfers)
             }
         };
-        let events = self.sequencer.map(|sequencer| sequencer.finish(transfers));
+        let events = self.sequencer.map(|sequencer| sequencer.finish(&transfers));
         if let Some(lines) = &self.lines {
             memory = memory.combined(lines.memory_stats());
         }
@@ -400,7 +403,7 @@ impl ExecutionObserver for SigilProfiler {
                 self.sequence(SeqOp::Switch {
                     thread: thread.as_raw(),
                 });
-                self.current_thread = thread.as_raw();
+                self.switch_frames(thread.as_raw());
             }
         }
     }
@@ -408,16 +411,21 @@ impl ExecutionObserver for SigilProfiler {
     fn on_finish(&mut self) {
         // Sorted so the drain order (and therefore the event file) is
         // deterministic regardless of HashMap iteration order.
-        let mut threads: Vec<u32> = self.thread_frames.keys().copied().collect();
+        let mut threads: Vec<u32> = self
+            .parked
+            .keys()
+            .copied()
+            .chain([self.current_thread])
+            .collect();
         threads.sort_unstable();
         for thread in threads {
-            self.current_thread = thread;
+            self.switch_frames(thread);
             self.sequence(SeqOp::Switch { thread });
-            while !self.frames_mut().is_empty() {
+            while !self.frames.is_empty() {
                 self.handle_leave();
             }
         }
-        self.current_thread = 0;
+        self.switch_frames(0);
     }
 }
 

@@ -42,9 +42,13 @@
 //!   transfers are only known once its shard has applied it. The front
 //!   end's event sequencer (`crate::events_out`) therefore logs its ops
 //!   in this mode, each read under the access index `dispatch_access`
-//!   returns; workers return per-access transfer segments
-//!   (`TransferMap`), and `into_profile` replays the log through the
-//!   same sequencer that serial replay drives live, so the file is
+//!   returns. Each worker appends the transfer segments it finds to one
+//!   flat `TransferLog`, tagged `(idx, part)`; since a worker applies its
+//!   records in dispatch order, the log comes out sorted by `(idx,
+//!   part)` with no per-read allocation or map. `into_profile` replays
+//!   the sequencer log through the same sequencer that serial replay
+//!   drives live, advancing one cursor per worker log at each read and
+//!   splicing the parts it finds in `part` order, so the file is
 //!   byte-identical.
 //!
 //! Dispatch itself is **epoch-pipelined**: each access is resolved into
@@ -70,7 +74,6 @@
 //! pinned by the `shard_merge` proptests.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -82,6 +85,7 @@ use sigil_mem::{chunk_key, chunk_run, MemoryStats, ShadowObject, ShadowTable, CH
 use sigil_trace::{Addr, FunctionId};
 
 use crate::config::SigilConfig;
+use crate::events_out::TransferLog;
 use crate::kernel::{Accessor, Kernel, Transfers};
 use crate::phase::PhaseProfile;
 use crate::reuse::ContextReuse;
@@ -97,11 +101,6 @@ const CHANNEL_DEPTH: usize = 8;
 /// work; at each epoch boundary every non-empty staging batch flushes,
 /// keeping the previous epoch draining while the next one resolves.
 const EPOCH_ACCESSES: u64 = 2048;
-
-/// Transfer segments produced by one access, keyed by global access
-/// index: `(part, [(producer_call, bytes)])` per chunk run that found
-/// cross-call dependencies.
-pub(crate) type TransferMap = HashMap<u64, Vec<(u32, Transfers)>>;
 
 /// One shadow access run — or a coalesced train of them — pre-resolved
 /// on the dispatch thread.
@@ -226,7 +225,7 @@ struct ShardResult {
     /// fields are authoritative (the shards' disjoint chunk sets union
     /// to the serial footprint).
     fragment: ShardFragment,
-    transfers: TransferMap,
+    transfers: TransferLog,
     evictions_applied: u64,
     /// Nanoseconds this worker spent applying batches (telemetry).
     busy_ns: u64,
@@ -242,8 +241,9 @@ pub(crate) struct ShardFinish {
     /// One fragment per worker (their `memory` is per-table telemetry,
     /// superseded by `memory` above).
     pub(crate) fragments: Vec<ShardFragment>,
-    /// Every worker's transfer segments, keyed by access index.
-    pub(crate) transfers: TransferMap,
+    /// Every worker's transfer log, unmerged (each sorted by `(idx,
+    /// part)`; [`crate::events_out::Sequencer::finish`] merges them).
+    pub(crate) transfers: Vec<TransferLog>,
 }
 
 /// One shard's (or the dispatch thread's) contribution to a profile:
@@ -623,8 +623,8 @@ impl ShardEngine {
     /// phase 2 stages the resolved ops into per-shard batches,
     /// coalescing where legal; every [`EPOCH_ACCESSES`] accesses all
     /// staged batches flush so workers drain while dispatch resolves
-    /// ahead. Returns the access's global index, which keys its
-    /// transfer segments in the finished [`TransferMap`].
+    /// ahead. Returns the access's global index, which tags its
+    /// transfer segments in the workers' [`TransferLog`]s.
     pub(crate) fn dispatch_access(
         &mut self,
         write: bool,
@@ -823,14 +823,10 @@ impl ShardEngine {
         if sigil_obs::is_enabled() {
             self.export_telemetry(&results);
         }
-        let mut transfers = TransferMap::new();
-        let mut fragments = Vec::with_capacity(results.len());
-        for result in results {
-            for (idx, parts) in result.transfers {
-                transfers.entry(idx).or_default().extend(parts);
-            }
-            fragments.push(result.fragment);
-        }
+        let (fragments, transfers) = results
+            .into_iter()
+            .map(|result| (result.fragment, result.transfers))
+            .unzip();
         ShardFinish {
             memory,
             fragments,
@@ -891,8 +887,9 @@ struct Worker {
     kernel: Kernel,
     /// Context → function map, filled by `CtxDefs` broadcasts.
     ctx_funcs: Vec<Option<FunctionId>>,
-    transfers: TransferMap,
-    /// Transfer scratch for the current kernel call.
+    transfers: TransferLog,
+    /// Transfer scratch for the current kernel call, emptied into
+    /// `transfers` after each.
     scratch: Transfers,
 }
 
@@ -928,12 +925,7 @@ impl Worker {
             kernel
                 .tally
                 .read(sub_slots, &rec.who.advance(k), func_of, scratch);
-            if !scratch.is_empty() {
-                transfers
-                    .entry(rec.idx + k)
-                    .or_default()
-                    .push((rec.part, std::mem::take(scratch)));
-            }
+            transfers.append(rec.idx + k, rec.part, scratch);
         }
     }
 }
@@ -943,7 +935,7 @@ fn shard_worker(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
     let mut worker = Worker {
         kernel: Kernel::new(ShadowTable::new(), &spec.config),
         ctx_funcs: Vec::new(),
-        transfers: TransferMap::new(),
+        transfers: TransferLog::default(),
         scratch: Transfers::new(),
     };
     let mut evictions_applied = 0u64;

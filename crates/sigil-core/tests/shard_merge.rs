@@ -195,20 +195,31 @@ enum Step {
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
-    (0u8..9, 0u8..4, 1u64..5, 0u64..24, 1u32..48).prop_map(|(kind, f, chunk, back, len)| {
-        // Addresses sit just below a 4 KiB boundary, so `len` up to 48
-        // regularly carries the run into the next chunk — and therefore
-        // onto a different shard.
-        let addr = chunk * 4096 - back;
-        match kind {
-            0 | 1 => Step::Call(f),
-            2 => Step::Ret,
-            3 | 4 => Step::Read(addr, len),
-            5 | 6 => Step::Write(addr, len),
-            7 => Step::Switch(f % 3),
-            _ => Step::Ops(len),
-        }
-    })
+    (
+        0u8..9,
+        0u8..4,
+        1u64..5,
+        0u64..24,
+        1u32..48,
+        (0u8..8, 0u32..4096 + 49),
+    )
+        .prop_map(|(kind, f, chunk, back, len, (long, extra))| {
+            // Addresses sit just below a 4 KiB boundary, so `len` up to 48
+            // regularly carries the run into the next chunk — and therefore
+            // onto a different shard. One access in eight is instead
+            // 2×4096 to 3×4096 + 48 bytes long: it spans three or four
+            // chunks, so at two shards one worker applies two of its parts.
+            let addr = chunk * 4096 - back;
+            let access_len = if long == 0 { 2 * 4096 + extra } else { len };
+            match kind {
+                0 | 1 => Step::Call(f),
+                2 => Step::Ret,
+                3 | 4 => Step::Read(addr, access_len),
+                5 | 6 => Step::Write(addr, access_len),
+                7 => Step::Switch(f % 3),
+                _ => Step::Ops(len),
+            }
+        })
 }
 
 /// Replays `steps` through a profiler built from `config` and returns

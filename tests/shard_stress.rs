@@ -44,6 +44,12 @@ fn stress_scenario(e: &mut Engine<SigilProfiler>) {
                 e.read(k * 4096 - 8, 16);
                 e.read(k * 4096 - 8, 16);
             }
+            // One read across four chunks (0..=3), alternating between
+            // producer bytes and never-written root bytes. At two shards
+            // each worker applies two of its parts (chunks 0 and 2, 1 and
+            // 3), so the event file keeps byte order only if the parts
+            // splice back by part, not by worker.
+            e.read(4096 - 8, 2 * 4096 + 16);
             e.op(OpClass::FloatArith, 3);
         });
         // Thrash: a stride walk over far-apart chunks keeps the resident
