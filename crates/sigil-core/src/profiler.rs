@@ -4,14 +4,14 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 use sigil_callgrind::{CallgrindProfiler, ContextId};
-use sigil_mem::{LineShadow, MemoryStats, ShadowTable};
+use sigil_mem::{LineShadow, MemoryStats};
 use sigil_trace::{
     CallNumber, ExecutionObserver, MemAccess, OpClock, RuntimeEvent, SymbolTable, Timestamp,
 };
 
 use crate::config::SigilConfig;
 use crate::events_out::{SeqOp, Sequencer};
-use crate::kernel::{comm_entry, Accessor, Kernel, Transfers};
+use crate::kernel::{comm_entry, Accessor, ModeKernel, Transfers};
 use crate::phase::PhaseBuilder;
 use crate::profile::{ContextComm, Profile};
 use crate::shard::{ShardEngine, ShardFragment};
@@ -55,9 +55,10 @@ impl LineReport {
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // one per profiler, built once
 enum Replay {
-    /// On the profiling thread, through one [`Kernel`].
-    InThread(Kernel),
-    /// On `config.shards` worker threads, one [`Kernel`] each (see
+    /// On the profiling thread, through one kernel over the mode's slot
+    /// layout.
+    InThread(ModeKernel),
+    /// On `config.shards` worker threads, one kernel each (see
     /// [`crate::shard`]).
     Sharded(ShardEngine),
 }
@@ -113,11 +114,7 @@ impl SigilProfiler {
         let replay = if sharded {
             Replay::Sharded(ShardEngine::new(&config))
         } else {
-            let table = match config.shadow_chunk_limit {
-                Some(limit) => ShadowTable::with_chunk_limit(limit, config.eviction),
-                None => ShadowTable::new(),
-            };
-            Replay::InThread(Kernel::new(table, &config))
+            Replay::InThread(ModeKernel::new(&config))
         };
         SigilProfiler {
             config,
@@ -153,7 +150,7 @@ impl SigilProfiler {
     /// batches; the finished profile's stats are exact).
     pub fn memory_stats(&self) -> MemoryStats {
         let byte_stats = match &self.replay {
-            Replay::InThread(kernel) => kernel.table.stats(),
+            Replay::InThread(kernel) => kernel.stats(),
             Replay::Sharded(engine) => engine.memory_stats(),
         };
         match &self.lines {
@@ -807,6 +804,43 @@ mod tests {
                     serde_json::to_string(&sharded).unwrap(),
                     "policy={policy:?} limit={limit}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_memory_is_priced_like_serial() {
+        // Residency is priced at the mode's slot size on every path: the
+        // serial table, the sharded dispatch oracle (limited) and the
+        // workers' own counts (unbounded).
+        let scenario = |e: &mut Engine<SigilProfiler>| {
+            e.scoped_named("main", |e| {
+                for chunk in 0..20u64 {
+                    e.write(chunk * 4096 + 100, 64);
+                    e.read(chunk * 4096 + 100, 64);
+                }
+            });
+        };
+        for reuse in [false, true] {
+            for limit in [None, Some(8)] {
+                let mut base = SigilConfig::default();
+                if reuse {
+                    base = base.with_reuse_mode();
+                }
+                if let Some(limit) = limit {
+                    base = base.with_shadow_limit(limit);
+                }
+                let serial = run(base, scenario).memory;
+                assert_eq!(serial.resident_chunks, limit.unwrap_or(20) as u64);
+                let slot = crate::kernel::slot_bytes(&base);
+                assert_eq!(serial.resident_bytes, serial.resident_slots * slot);
+                for shards in [2, 4] {
+                    let sharded = run(base.with_shards(shards), scenario).memory;
+                    assert_eq!(
+                        serial, sharded,
+                        "reuse={reuse} limit={limit:?} shards={shards}"
+                    );
+                }
             }
         }
     }

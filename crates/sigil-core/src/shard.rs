@@ -10,8 +10,9 @@
 //! long as each shard sees *its* accesses in program order.
 //!
 //! Each worker owns one `Kernel` (see [`crate::kernel`]) over the bytes
-//! of its chunks: the same shadow state, read/write kernels and finish
-//! that serial replay runs on the profiling thread. The
+//! of its chunks, instantiated for the mode's slot layout: the same
+//! shadow state, read/write kernels and finish that serial replay runs
+//! on the profiling thread. The
 //! [`crate::SigilProfiler`] front end keeps everything that is not
 //! per-byte in both modes (frames, call numbers, the phase clock and its
 //! call tallies, line shadowing, whole-access byte counts, and the event
@@ -81,12 +82,14 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sigil_callgrind::{CallTree, ContextId};
-use sigil_mem::{chunk_key, chunk_run, MemoryStats, ShadowObject, ShadowTable, CHUNK_SLOTS};
+use sigil_mem::{
+    chunk_key, chunk_run, MemoryStats, ReuseShadowObject, ShadowObject, ShadowTable, CHUNK_SLOTS,
+};
 use sigil_trace::{Addr, FunctionId};
 
 use crate::config::SigilConfig;
 use crate::events_out::TransferLog;
-use crate::kernel::{Accessor, Kernel, Transfers};
+use crate::kernel::{slot_bytes, Accessor, Kernel, Slot, Transfers};
 use crate::phase::PhaseProfile;
 use crate::reuse::ContextReuse;
 use crate::stats::{CommEdge, CommStats};
@@ -395,6 +398,9 @@ pub(crate) struct ShardEngine {
     oracle: Option<ShadowTable<()>>,
     /// Counter mirror for the elided-oracle path.
     route: RouteStats,
+    /// Shadow bytes per guest byte: the workers' slot size, at which
+    /// residency is priced exactly as the serial table prices it.
+    slot_bytes: u64,
     senders: Vec<SyncSender<Vec<ShardMsg>>>,
     batches: Vec<Vec<ShardMsg>>,
     /// Whether the last message staged to this shard is an `Access`
@@ -475,7 +481,13 @@ impl ShardEngine {
             handles.push(Some(
                 std::thread::Builder::new()
                     .name(format!("sigil-shard-{shard}"))
-                    .spawn(move || shard_worker(spec, rx))
+                    .spawn(move || {
+                        if spec.config.reuse_mode {
+                            shard_worker::<ReuseShadowObject>(spec, rx)
+                        } else {
+                            shard_worker::<ShadowObject>(spec, rx)
+                        }
+                    })
                     .expect("spawn shard worker"),
             ));
         }
@@ -483,6 +495,7 @@ impl ShardEngine {
             shards,
             oracle,
             route: RouteStats::default(),
+            slot_bytes: slot_bytes(config),
             senders,
             batches: (0..shards).map(|_| Vec::with_capacity(BATCH)).collect(),
             staging_open: vec![false; shards],
@@ -741,8 +754,8 @@ impl ShardEngine {
     /// The serial-equivalent shadow counters.
     ///
     /// With a dispatch oracle these come straight from it (whose `T =
-    /// ()` stores no bytes — residency is re-priced at the serial
-    /// table's slot size) and are exact at any time. With the oracle
+    /// ()` stores no bytes — residency is re-priced at the mode's slot
+    /// size, as the serial table prices it) and are exact at any time. With the oracle
     /// elided the access counters ([`RouteStats`]) are exact, and the
     /// residency comes from the workers' per-batch snapshots — lagging
     /// in-flight batches mid-run, exact after [`ShardEngine::finish`]
@@ -751,8 +764,7 @@ impl ShardEngine {
         match &self.oracle {
             Some(oracle) => {
                 let mut stats = oracle.stats();
-                stats.resident_bytes =
-                    stats.resident_slots * std::mem::size_of::<ShadowObject>() as u64;
+                stats.resident_bytes = stats.resident_slots * self.slot_bytes;
                 stats
             }
             None => {
@@ -770,8 +782,7 @@ impl ShardEngine {
         MemoryStats {
             resident_chunks,
             resident_slots: resident_chunks * CHUNK_SLOTS as u64,
-            resident_bytes: resident_chunks
-                * (CHUNK_SLOTS * std::mem::size_of::<ShadowObject>()) as u64,
+            resident_bytes: resident_chunks * CHUNK_SLOTS as u64 * self.slot_bytes,
             evicted_chunks: 0,
             accesses: self.route.accesses,
             mru_hits: self.route.mru_hits,
@@ -811,8 +822,7 @@ impl ShardEngine {
             Some(_) => self.memory_stats(),
             None => {
                 // The shards own disjoint chunk sets whose union is the
-                // serial footprint; the workers' own tables (T =
-                // ShadowObject) price bytes exactly like serial replay.
+                // serial footprint, priced at the workers' slot size.
                 let chunks: u64 = results
                     .iter()
                     .map(|r| r.fragment.memory.resident_chunks)
@@ -883,8 +893,8 @@ struct WorkerSpec {
 }
 
 /// Per-worker replay state around its kernel.
-struct Worker {
-    kernel: Kernel,
+struct Worker<S> {
+    kernel: Kernel<S>,
     /// Context → function map, filled by `CtxDefs` broadcasts.
     ctx_funcs: Vec<Option<FunctionId>>,
     transfers: TransferLog,
@@ -893,7 +903,7 @@ struct Worker {
     scratch: Transfers,
 }
 
-impl Worker {
+impl<S: Slot> Worker<S> {
     /// Applies one record: a write run, or a read train split back into
     /// its sub-accesses with one kernel call each.
     fn apply(&mut self, rec: AccessRecord) {
@@ -930,10 +940,10 @@ impl Worker {
     }
 }
 
-fn shard_worker(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
+fn shard_worker<S: Slot>(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
     let _span = sigil_obs::span_with(|| format!("shard-worker-{}", spec.shard));
     let mut worker = Worker {
-        kernel: Kernel::new(ShadowTable::new(), &spec.config),
+        kernel: Kernel::<S>::new(ShadowTable::new(), &spec.config),
         ctx_funcs: Vec::new(),
         transfers: TransferLog::default(),
         scratch: Transfers::new(),

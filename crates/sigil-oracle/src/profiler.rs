@@ -24,9 +24,10 @@ type FuncKey = Option<FunctionId>;
 /// profiler's `(context, call)` owner comparison: equal call numbers
 /// imply the very same dynamic call. The one collision is the `call ==
 /// 0` root frame, which every thread shares — the `thread` field is
-/// what keeps per-thread root frames distinct, mirroring the production
-/// `Owner`'s thread field, and is the discriminant for inter-thread
-/// classification.
+/// what keeps per-thread root frames distinct, mirroring the thread the
+/// production `FrameKey` packs into a root frame's key, and is the
+/// discriminant for inter-thread classification (the production
+/// `Owner`'s thread field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct OwnerRec {
     func: FuncKey,

@@ -63,10 +63,23 @@ impl CallNumber {
         self.0
     }
 
+    /// Exclusive upper bound on call numbers: bit 63 stays clear, so
+    /// shadow memory can pack a frame key that tags the shared root
+    /// frame with that bit and its thread (see `sigil_mem::FrameKey`).
+    pub const LIMIT: u64 = 1 << 63;
+
     /// Returns the next call number.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the count would reach [`CallNumber::LIMIT`] — a bound
+    /// checked once per call, never silently wrapped.
     #[must_use]
     pub const fn next(self) -> Self {
-        CallNumber(self.0 + 1)
+        match self.0.checked_add(1) {
+            Some(raw) if raw < Self::LIMIT => CallNumber(raw),
+            _ => panic!("call numbers stay below the root frame-key bit (CallNumber::LIMIT)"),
+        }
     }
 }
 
@@ -170,6 +183,14 @@ mod tests {
         assert!(c.next() > c);
         assert_eq!(c.next().as_raw(), 1);
         assert_eq!(c.next().to_string(), "call#1");
+    }
+
+    #[test]
+    fn call_number_next_stops_below_the_limit() {
+        let last = CallNumber::from_raw(CallNumber::LIMIT - 2).next();
+        assert_eq!(last.as_raw(), CallNumber::LIMIT - 1);
+        let overflow = std::panic::catch_unwind(|| last.next());
+        assert!(overflow.is_err(), "the root frame-key bit is never reached");
     }
 
     #[test]
